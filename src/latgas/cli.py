@@ -19,9 +19,11 @@ def _versions():
     import scipy
 
     from . import __version__
+    from .sim import event_kernel
 
     return {"latgas": __version__, "numpy": np.__version__,
-            "scipy": scipy.__version__, "python": sys.version.split()[0]}
+            "scipy": scipy.__version__, "python": sys.version.split()[0],
+            "event_kernel": event_kernel()}
 
 
 def _write_manifest(out_dir, command, params, outputs):
@@ -448,14 +450,33 @@ def build_parser():
     return p
 
 
+def _invariant_failures():
+    """The exceptions that mean an asserted invariant failed (exit code 1)."""
+    from .entropy import InconsistentOverlap
+    from .goursat import NoContraction
+    from .pde import BlowupBeforeT, DomainExit
+    from .sim import ConservationViolated
+    from .thermo import NonConvergence
+
+    return (DomainExit, BlowupBeforeT, NonConvergence, InconsistentOverlap,
+            NoContraction, ConservationViolated)
+
+
+def _report(exc):
+    print("error: " + " ".join(str(exc).split()), file=sys.stderr)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(exc)
         return 2
+    except _invariant_failures() as exc:
+        _report(exc)
+        return 1
 
 
 if __name__ == "__main__":

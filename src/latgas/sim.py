@@ -5,30 +5,30 @@ The event engine uses uniformization: every bond carries a Poisson clock at
 the maximal bond rate, candidate events are accepted with probability
 (channel rate)/(max rate) given the current pair of spins.  This is exact in
 law and costs O(1) per candidate.  Randomness comes from counter-based
-Philox streams so replicas are independent and trajectories replayable.
+Philox streams so replicas are independent and trajectories replayable;
+snapshots store the stream state, so a restart continues the same trajectory.
+
+Candidate events are applied by a small C kernel, compiled with the system C
+compiler on first use and cached per user (``$XDG_CACHE_HOME/latgas``, else
+``~/.cache/latgas``, else a private temporary directory).  Without a working
+compiler the interpreted reference loop runs instead; both give identical
+trajectories, and ``event_kernel()`` reports which one is in use.
 """
 
 from __future__ import annotations
 
-import struct
+import ctypes
 import hashlib
+import os
+import shutil
+import struct
+import subprocess
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .thermo import DomainPolygon, OutOfDomain, invert_parameters_grid
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency in practice
-    HAVE_NUMBA = False
-
-    def njit(*a, **k):
-        def wrap(f):
-            return f
-        return wrap if not (len(a) == 1 and callable(a[0])) else a[0]
 
 
 _EVENT_CHUNK = 20_000_000
@@ -176,8 +176,44 @@ def sample_local_equilibrium(model, rho_profile, u_profile, n, plan, seed,
 # event engine
 
 
-@njit(cache=True)
-def _apply_events(spins, bonds, us, cum, out_a, out_b, nchan, k):
+class ConservationViolated(RuntimeError):
+    pass
+
+
+# Same loop as _apply_events_py over flat row-major tables; the caller
+# validates every argument (see _check_event_args) before it runs.
+_KERNEL_SOURCE = r"""
+#include <stdint.h>
+
+int64_t apply_events(uint8_t *spins, int64_t n, const int64_t *bonds,
+                     const double *us, int64_t m, const double *cum,
+                     const uint8_t *out_a, const uint8_t *out_b,
+                     int64_t nchan, int64_t k)
+{
+    int64_t accepted = 0;
+    for (int64_t i = 0; i < m; i++) {
+        int64_t j = bonds[i];
+        int64_t jp = j + 1 == n ? 0 : j + 1;
+        int64_t row = ((int64_t)spins[j] * k + spins[jp]) * nchan;
+        for (int64_t q = 0; q < nchan; q++) {
+            if (us[i] < cum[row + q]) {
+                spins[j] = out_a[row + q];
+                spins[jp] = out_b[row + q];
+                accepted++;
+                break;
+            }
+        }
+    }
+    return accepted;
+}
+"""
+_KERNEL_FLAGS = ("-O2", "-shared", "-fPIC")
+
+_kernel = None       # resolved on first use by _resolve_kernel
+
+
+def _apply_events_py(spins, bonds, us, cum, out_a, out_b, nchan, k):
+    """Interpreted reference loop, and the fallback without a C compiler."""
     accepted = 0
     n = spins.shape[0]
     for i in range(bonds.shape[0]):
@@ -194,6 +230,110 @@ def _apply_events(spins, bonds, us, cum, out_a, out_b, nchan, k):
                 accepted += 1
                 break
     return accepted
+
+
+def _find_compiler():
+    return shutil.which("gcc") or shutil.which("cc")
+
+
+def _cache_dir():
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
+    path = os.path.join(base, "latgas")
+    try:
+        os.makedirs(path, exist_ok=True)
+        if os.access(path, os.W_OK):
+            return path
+    except OSError:
+        pass
+    path = os.path.join(tempfile.gettempdir(), f"latgas-{os.getuid()}")
+    os.makedirs(path, mode=0o700, exist_ok=True)
+    # a shared temporary directory: load nothing another user could plant
+    if os.stat(path).st_uid != os.getuid():
+        raise OSError(f"{path} is owned by another user")
+    return path
+
+
+def _load_c_kernel():
+    """The compiled kernel's ctypes function, building it if it is not
+    cached yet; None when there is no compiler or the build fails."""
+    tag = hashlib.blake2b(
+        "\0".join((_KERNEL_SOURCE,) + _KERNEL_FLAGS).encode(),
+        digest_size=8).hexdigest()
+    try:
+        cache = _cache_dir()
+        lib_path = os.path.join(cache, f"events-{tag}.so")
+        if not os.path.exists(lib_path):
+            cc = _find_compiler()
+            if cc is None:
+                return None
+            # build under a private name, then rename: concurrent workers
+            # each see either no library or a complete one
+            with tempfile.TemporaryDirectory(dir=cache) as tmp:
+                src = os.path.join(tmp, "events.c")
+                with open(src, "w") as fh:
+                    fh.write(_KERNEL_SOURCE)
+                out = os.path.join(tmp, "events.so")
+                subprocess.run([cc, *_KERNEL_FLAGS, "-o", out, src],
+                               check=True, capture_output=True, timeout=120)
+                os.replace(out, lib_path)
+        fn = ctypes.CDLL(lib_path).apply_events
+    except (OSError, subprocess.SubprocessError):
+        return None
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    fn.argtypes = [ptr, i64, ptr, ptr, i64, ptr, ptr, ptr, i64, i64]
+    fn.restype = i64
+
+    def apply_events_c(spins, bonds, us, cum, out_a, out_b, nchan, k):
+        return fn(spins.ctypes.data, spins.size, bonds.ctypes.data,
+                  us.ctypes.data, bonds.size, cum.ctypes.data,
+                  out_a.ctypes.data, out_b.ctypes.data, nchan, k)
+
+    return apply_events_c
+
+
+def _resolve_kernel():
+    global _kernel
+    if _kernel is None:
+        _kernel = _load_c_kernel() or _apply_events_py
+    return _kernel
+
+
+def event_kernel():
+    """Which event kernel ``simulate`` runs: ``"c"`` or ``"python"``."""
+    return "python" if _resolve_kernel() is _apply_events_py else "c"
+
+
+def _require(a, dtype, shape, name):
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype
+            and a.shape == shape and a.flags.c_contiguous):
+        raise ValueError(f"{name} must be a C-contiguous {np.dtype(dtype)} "
+                         f"array of shape {shape}")
+
+
+def _check_event_args(spins, bonds, us, cum, out_a, out_b, nchan, k):
+    """Reject anything the compiled kernel would read or write out of bounds."""
+    _require(spins, np.uint8, (np.size(spins),), "spins")
+    if not spins.flags.writeable:
+        raise ValueError("spins must be writeable")
+    _require(bonds, np.int64, (bonds.size,), "bonds")
+    _require(us, np.float64, bonds.shape, "draws")
+    for name, table, dtype in (("cum", cum, np.float64),
+                               ("out_a", out_a, np.uint8),
+                               ("out_b", out_b, np.uint8)):
+        _require(table, dtype, (k * k, nchan), name)
+    for name, a in (("spins", spins), ("out_a", out_a), ("out_b", out_b)):
+        if a.size and int(a.max()) >= k:
+            raise ValueError(f"{name} holds state {int(a.max())}, "
+                             f"outside 0..{k - 1}")
+    if bonds.size and not (bonds.min() >= 0 and bonds.max() < spins.size):
+        raise ValueError(f"bond index outside 0..{spins.size - 1}")
+
+
+def _apply_events(spins, bonds, us, cum, out_a, out_b, nchan, k):
+    """Apply candidate events in order; returns the number accepted."""
+    nchan, k = int(nchan), int(k)
+    _check_event_args(spins, bonds, us, cum, out_a, out_b, nchan, k)
+    return _resolve_kernel()(spins, bonds, us, cum, out_a, out_b, nchan, k)
 
 
 class _ChannelTable:
@@ -257,7 +397,7 @@ def simulate(state, model, plan, t_end, observe_at=(), observer=None,
         if check_conservation:
             N, Z2 = state.recompute_totals(model)
             if N != state.total_eta or Z2 != state.total_zeta2:
-                raise RuntimeError(
+                raise ConservationViolated(
                     f"conservation violated: ({state.total_eta},{state.total_zeta2})"
                     f" -> ({N},{Z2})")
         state.update_hash()
@@ -353,6 +493,11 @@ def empirical_fields(state, model, plan, m):
 
 
 _MAGIC = b"LGS1"
+_VERSION = 2
+_HEAD = struct.Struct("<4sIQIQd")      # magic, version, n, k, seed, time
+# events, accepted, trajectory digest, then the Philox bit generator: key,
+# counter, output buffer, buffer position, has_uint32, uinteger
+_STATE = struct.Struct("<qq16s2Q4Q4QqII")
 
 
 def write_snapshot_csv(path, fields_by_time, append=False):
@@ -368,25 +513,56 @@ def write_snapshot_csv(path, fields_by_time, append=False):
 
 
 def dump_state(path, state, model):
-    header = struct.pack("<4sIQIQd", _MAGIC, 1, state.n, model.nstates,
-                         state.seed & (2 ** 64 - 1), state.time)
+    """Write the spins, counters, trajectory hash and Philox stream state;
+    ``load_state`` then resumes the run exactly where it stopped."""
+    gen = state.rng.bit_generator.state
+    if gen["bit_generator"] != "Philox":
+        raise ValueError("only Philox streams can be dumped")
+    # an all-zero digest stands for a state never hashed
+    digest = (bytes.fromhex(state.trajectory_hash) if state.trajectory_hash
+              else bytes(16))
     with open(path, "wb") as fh:
-        fh.write(header)
+        fh.write(_HEAD.pack(_MAGIC, _VERSION, state.n, model.nstates,
+                            state.seed & (2 ** 64 - 1), state.time))
+        fh.write(_STATE.pack(state.events, state.accepted, digest,
+                             *gen["state"]["key"], *gen["state"]["counter"],
+                             *gen["buffer"], gen["buffer_pos"],
+                             gen["has_uint32"], gen["uinteger"]))
         fh.write(state.spins.tobytes())
 
 
 def load_state(path, model):
     with open(path, "rb") as fh:
-        head = fh.read(struct.calcsize("<4sIQIQd"))
-        magic, ver, n, k, seed, time = struct.unpack("<4sIQIQd", head)
-        if magic != _MAGIC or ver != 1:
+        head = fh.read(_HEAD.size)
+        if len(head) != _HEAD.size or head[:4] != _MAGIC:
             raise ValueError("not a lattice snapshot file")
+        _, ver, n, k, seed, time = _HEAD.unpack(head)
+        if ver != _VERSION:
+            raise ValueError(f"snapshot format version {ver} is not supported "
+                             f"(only {_VERSION}, which stores the random "
+                             "stream needed for an exact restart)")
         if k != model.nstates:
             raise ValueError("snapshot was written for a different model")
+        body = fh.read(_STATE.size)
         spins = np.frombuffer(fh.read(n), dtype=np.uint8).copy()
-    # restarts continue on a fresh substream derived from the stored clock
-    rng = philox_stream(seed, stream=np.uint64(abs(hash(time)) & (2 ** 63 - 1)))
-    st = LatticeState(spins=spins, time=time, seed=seed, rng=rng)
+    if len(body) != _STATE.size or spins.size != n:
+        raise ValueError("truncated snapshot file")
+    if n and int(spins.max()) >= k:
+        raise ValueError("snapshot holds a state outside the model")
+    (events, accepted, digest, *words, buffer_pos, has_uint32,
+     uinteger) = _STATE.unpack(body)
+    bitgen = np.random.Philox()
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"key": np.array(words[0:2], dtype=np.uint64),
+                  "counter": np.array(words[2:6], dtype=np.uint64)},
+        "buffer": np.array(words[6:10], dtype=np.uint64),
+        "buffer_pos": buffer_pos, "has_uint32": has_uint32,
+        "uinteger": uinteger}
+    st = LatticeState(spins=spins, time=time, seed=seed,
+                      rng=np.random.Generator(bitgen), events=events,
+                      accepted=accepted,
+                      trajectory_hash="" if digest == bytes(16)
+                      else digest.hex())
     st.total_eta, st.total_zeta2 = st.recompute_totals(model)
-    st.update_hash()
     return st

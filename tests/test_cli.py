@@ -39,9 +39,19 @@ def test_manifest_roundtrip(tmp_path, capsys):
                "--t-end", "0.01", "--snapshots", "1"])
     assert rc == 0
     first = (out / "pde.csv").read_bytes()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["versions"]["event_kernel"] in ("c", "python")
     rc = main(["rerun", str(out / "manifest.json")])
     assert rc == 0
     assert (out / "pde.csv").read_bytes() == first
+
+
+def test_invariant_failure_is_one_line(tmp_path, capsys):
+    rc = main(["--out", str(tmp_path / "o"), "solve-pde", "--flux",
+               "model:pm1", "--rho-base", "0.97", "--rho-amp", "0.05"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_simulate_outputs(tmp_path):

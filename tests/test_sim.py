@@ -1,7 +1,11 @@
+import shutil
+import struct
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from latgas import sim
 from latgas.sim import (LatticeState, ScalingPlan, TooLarge, block_average,
                         dump_state, empirical_fields, generator_matrix,
                         load_state, philox_stream, product_measure_vector,
@@ -267,3 +271,108 @@ def test_snapshot_roundtrip(tmp_path, pm1):
     lines = csvp.read_text().strip().splitlines()
     assert lines[0] == "t,x,rho_hat,u_hat"
     assert len(lines) == 9
+
+
+def test_restart_is_exact(tmp_path, pm1):
+    plan = ScalingPlan()
+    rho0 = lambda x: 0.5 + 0.1 * np.sin(2 * np.pi * x)
+    u0 = lambda x: 0.1 * np.cos(2 * np.pi * x)
+    t_half, t_end = 0.01, 0.02
+    straight = sample_local_equilibrium(pm1, rho0, u0, 256, plan, seed=13)
+    simulate(straight, pm1, plan, t_half)
+    simulate(straight, pm1, plan, t_end)
+    part = sample_local_equilibrium(pm1, rho0, u0, 256, plan, seed=13)
+    simulate(part, pm1, plan, t_half)
+    path = tmp_path / "half.bin"
+    dump_state(path, part, pm1)
+    resumed = load_state(path, pm1)
+    assert (resumed.events, resumed.accepted, resumed.trajectory_hash) == \
+        (part.events, part.accepted, part.trajectory_hash)
+    simulate(resumed, pm1, plan, t_end)
+    assert np.array_equal(resumed.spins, straight.spins)
+    assert (resumed.events, resumed.accepted) == \
+        (straight.events, straight.accepted)
+    assert resumed.trajectory_hash == straight.trajectory_hash
+
+
+def test_version1_snapshot_rejected(tmp_path, pm1):
+    path = tmp_path / "v1.bin"
+    path.write_bytes(struct.pack("<4sIQIQd", b"LGS1", 1, 4, 3, 8, 0.0)
+                     + bytes(4))
+    with pytest.raises(ValueError, match="version 1") as exc:
+        load_state(path, pm1)
+    assert "\n" not in str(exc.value)
+
+
+@pytest.fixture
+def c_kernel():
+    if sim.event_kernel() != "c":
+        pytest.skip("no C compiler to build the event kernel")
+
+
+@pytest.mark.parametrize("name", ["pm1", "two_lane"])
+def test_backends_give_identical_trajectories(request, monkeypatch, c_kernel,
+                                              name):
+    model = request.getfixturevalue(name)
+    plan = ScalingPlan(delta=0.25)
+    rho0 = lambda x: 0.4 + 0.1 * np.sin(2 * np.pi * x)
+    u0 = lambda x: 0.1 * np.cos(2 * np.pi * x)
+    stops = (0.01, 0.02, 0.03, 0.04)
+    runs = []
+    for kernel in (sim._resolve_kernel(), sim._apply_events_py):
+        monkeypatch.setattr(sim, "_kernel", kernel)
+        st = sample_local_equilibrium(model, rho0, u0, 256, plan, seed=31)
+        seen = []
+        simulate(st, model, plan, stops[-1], observe_at=stops,
+                 observer=lambda s: seen.append((s.accepted,
+                                                 s.trajectory_hash)))
+        runs.append((sim.event_kernel(), st.spins.copy(), st.events, seen))
+    (kc, spins_c, events_c, seen_c), (kp, spins_p, events_p, seen_p) = runs
+    assert (kc, kp) == ("c", "python")
+    assert events_c == events_p > 10_000
+    assert np.array_equal(spins_c, spins_p)
+    assert len(seen_c) == len(stops) and seen_c == seen_p
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+def test_bad_event_arguments_raise(monkeypatch, pm1, backend):
+    if backend == "python":
+        monkeypatch.setattr(sim, "_kernel", sim._apply_events_py)
+    elif sim.event_kernel() != "c":
+        pytest.skip("no C compiler to build the event kernel")
+    st = LatticeState(spins=np.array([0, 1, 7, 2], dtype=np.uint8), time=0.0,
+                      seed=1, rng=philox_stream(1))
+    with pytest.raises(ValueError, match="outside"):
+        simulate(st, pm1, ScalingPlan(), 1.0, check_conservation=False)
+    tab = sim._ChannelTable(pm1, 1.0, 1.0)
+    good = dict(spins=np.zeros(8, dtype=np.uint8),
+                bonds=np.array([0, 7, 3]), us=np.full(3, 0.1))
+    for key, bad in [("spins", np.zeros(8, dtype=np.int64)),
+                     ("spins", np.zeros(16, dtype=np.uint8)[::2]),
+                     ("bonds", np.array([0, 8, 3])),
+                     ("bonds", np.array([-1, 0, 3])),
+                     ("us", np.full(2, 0.1))]:
+        args = good | {key: bad}
+        with pytest.raises(ValueError):
+            sim._apply_events(args["spins"], args["bonds"], args["us"],
+                              tab.cum, tab.out_a, tab.out_b, tab.nchan, tab.k)
+    assert sim._apply_events(good["spins"], good["bonds"], good["us"],
+                             tab.cum, tab.out_a, tab.out_b, tab.nchan,
+                             tab.k) == 0
+
+
+@pytest.mark.parametrize("compiler", [None, "false"])
+def test_python_fallback_without_compiler(monkeypatch, tmp_path, pm1,
+                                          compiler):
+    """No compiler, or one that fails, leaves the interpreted loop in use."""
+    path = compiler and shutil.which(compiler)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(sim, "_find_compiler", lambda: path)
+    monkeypatch.setattr(sim, "_kernel", None)
+    plan = ScalingPlan()
+    st = sample_local_equilibrium(pm1, lambda x: 0.5 + 0 * x,
+                                  lambda x: 0.0 * x, 64, plan, seed=2)
+    simulate(st, pm1, plan, 0.01)
+    assert st.events > 0
+    assert sim.event_kernel() == "python"
+    assert not list(tmp_path.rglob("*.so"))
