@@ -26,10 +26,14 @@ def _versions():
             "event_kernel": event_kernel()}
 
 
-def _write_manifest(out_dir, command, params, outputs):
+def _write_manifest(out_dir, command, params, outputs, error=None):
+    """Write ``manifest.json``; ``status`` is "failed" when ``error`` is set."""
     os.makedirs(out_dir, exist_ok=True)
     manifest = {"command": command, "params": params,
-                "versions": _versions(), "outputs": outputs}
+                "versions": _versions(), "outputs": outputs,
+                "status": "ok" if error is None else "failed"}
+    if error is not None:
+        manifest["error"] = error
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
@@ -52,9 +56,11 @@ def cmd_validate(args):
     model = _model_from_args(args)
     rep = validate_conditions(model, block_len=args.block_len)
     print(rep.summary())
+    ok = rep.all_passed()
     if args.out:
-        _write_manifest(args.out, "validate", vars(args) | {"func": None}, [])
-    return 0 if rep.all_passed() else 1
+        _write_manifest(args.out, "validate", vars(args) | {"func": None}, [],
+                        error=None if ok else "a structural condition failed")
+    return 0 if ok else 1
 
 
 def cmd_fluxes(args):
@@ -187,7 +193,7 @@ def cmd_verify_bounds(args):
 
     flux = _flux_from_spec(args.flux, args.gamma)
     n_list = [int(x) for x in args.n_list.split(",")] if args.n_list else [None]
-    rc = 0
+    failed = []
     rows = []
     for n in n_list:
         tab = build_entropy(flux, args.r_lo, args.r_hi, n=n, beta=args.beta,
@@ -198,7 +204,7 @@ def cmd_verify_bounds(args):
         for name, fit in rep.fits.items():
             rows.append([n or 0, name, fit.constant, fit.support_leak])
             if not fit.ok():
-                rc = 1
+                failed.append(f"{name}@n={n or 0}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "bounds.csv")
@@ -206,8 +212,10 @@ def cmd_verify_bounds(args):
             wr = csv.writer(fh)
             wr.writerow(["n", "bound", "constant", "support_leak"])
             wr.writerows(rows)
-        _write_manifest(args.out, "verify-bounds", _params(args), [path])
-    return rc
+        _write_manifest(args.out, "verify-bounds", _params(args), [path],
+                        error=("bound fits failed: " + ", ".join(failed)
+                               if failed else None))
+    return 1 if failed else 0
 
 
 def _config_to_experiment(path, overrides):
@@ -256,6 +264,8 @@ def cmd_converge(args):
     rep = (run_intermediate if config.mode == "intermediate"
            else run_eulerian)(config)
     print(rep.summary())
+    ok = rep.mass_invariant and rep.weak_within()[0] \
+        and all(rep.l1_strictly_decreasing(t) for t in rep.l1_sequence)
     outputs = []
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -266,9 +276,8 @@ def cmd_converge(args):
         with open(summ, "w") as fh:
             fh.write(rep.summary() + "\n")
         outputs.append(summ)
-        _write_manifest(args.out, "converge", _params(args), outputs)
-    ok = rep.mass_invariant and rep.weak_within()[0] \
-        and all(rep.l1_strictly_decreasing(t) for t in rep.l1_sequence)
+        _write_manifest(args.out, "converge", _params(args), outputs,
+                        error=None if ok else "convergence checks failed")
     return 0 if ok else 1
 
 
@@ -282,9 +291,11 @@ def cmd_tails(args):
     rep = tail_checks(model, plan, args.n, rho0=args.rho_base, u0=args.u_base,
                       samples=args.samples, seed=args.seed)
     print(rep.summary())
+    ok = rep.passed()
     if args.out:
-        _write_manifest(args.out, "tails", _params(args), [])
-    return 0 if rep.passed() else 1
+        _write_manifest(args.out, "tails", _params(args), [],
+                        error=None if ok else "tail domination failed")
+    return 0 if ok else 1
 
 
 def cmd_enumerate(args):
@@ -298,12 +309,14 @@ def cmd_enumerate(args):
                                           centered=args.centered)
         print(rep.summary())
         cs.append(rep.C)
-    if args.out:
-        _write_manifest(args.out, "enumerate", _params(args), [])
     med = float(np.median(cs))
     spread = max(abs(c - med) for c in cs) / max(abs(med), 1e-300)
     print(f"C stability across l: max deviation from median = {spread:.1%}")
-    return 0 if spread <= 0.5 else 1
+    ok = spread <= 0.5
+    if args.out:
+        _write_manifest(args.out, "enumerate", _params(args), [],
+                        error=None if ok else f"C spread {spread:.1%} > 50%")
+    return 0 if ok else 1
 
 
 def cmd_rerun(args):
@@ -462,8 +475,16 @@ def _invariant_failures():
             NoContraction, ConservationViolated)
 
 
-def _report(exc):
-    print("error: " + " ".join(str(exc).split()), file=sys.stderr)
+def _report(args, exc):
+    """One ``error:`` line on stderr, and a failed manifest if --out is set."""
+    reason = " ".join(str(exc).split())
+    print("error: " + reason, file=sys.stderr)
+    if getattr(args, "out", None):
+        try:
+            _write_manifest(args.out, args.cmd, _params(args), [],
+                            error=reason)
+        except OSError:     # the stderr line stays the one report
+            pass
 
 
 def main(argv=None):
@@ -472,10 +493,10 @@ def main(argv=None):
     try:
         return args.func(args)
     except (ValueError, FileNotFoundError) as exc:
-        _report(exc)
+        _report(args, exc)
         return 2
     except _invariant_failures() as exc:
-        _report(exc)
+        _report(args, exc)
         return 1
 
 

@@ -693,11 +693,8 @@ class EntropyTable:
         differences of the stored S field."""
         h_r = self.rho[1] - self.rho[0]
         h_u = self.u[1] - self.u[0]
-        RR, UU = self.meshgrid()
-        pu = np.asarray(self.flux.Psi_u(RR, UU), dtype=float)
-        gap = np.asarray(self.flux.Phi_u(RR, UU), dtype=float) \
-            - np.asarray(self.flux.Psi_rho(RR, UU), dtype=float)
-        fr = np.asarray(self.flux.Phi_rho(RR, UU), dtype=float)
+        _, _, pr, pu, fr, fu = self.flux.bundle(*self.meshgrid())
+        gap = fu - pr
         S_rr = d2_4(self.S, h_r)
         S_uu = d2_4(self.S.T, h_u).T
         S_ru = d1_4(d1_4(self.S, h_r).T, h_u).T
@@ -710,11 +707,7 @@ class EntropyTable:
         """Relative error of both entropy-flux relations on D3 interior."""
         h_r = self.rho[1] - self.rho[0]
         h_u = self.u[1] - self.u[0]
-        RR, UU = self.meshgrid()
-        pr = np.asarray(self.flux.Psi_rho(RR, UU), dtype=float)
-        pu = np.asarray(self.flux.Psi_u(RR, UU), dtype=float)
-        fr = np.asarray(self.flux.Phi_rho(RR, UU), dtype=float)
-        fu = np.asarray(self.flux.Phi_u(RR, UU), dtype=float)
+        _, _, pr, pu, fr, fu = self.flux.bundle(*self.meshgrid())
         F_r = d1_4(self.F, h_r)
         F_u = d1_4(self.F.T, h_u).T
         rhs_r = pr * self.S_rho + fr * self.S_u
@@ -847,15 +840,12 @@ def build_entropy(flux, r_lo, r_hi, n=None, beta=0.5, u_max=None, rho_max=None,
     S_ru = mirror(out["S_ru"], -1)
 
     RR, UU = np.meshgrid(rho, u_full)
-    pu = np.asarray(view.Psi_u(RR, UU), dtype=float)
-    gap = np.asarray(view.Phi_u(RR, UU), dtype=float) \
-        - np.asarray(view.Psi_rho(RR, UU), dtype=float)
-    fr = np.asarray(view.Phi_rho(RR, UU), dtype=float)
-    S_uu = (pu * S_rr + gap * S_ru) / fr
+    PsiRR, phi, pr, pu, fr, fu = view.bundle(RR, UU)
+    S_uu = (pu * S_rr + (fu - pr) * S_ru) / fr
 
     # entropy flux from F_u = Psi_u S_rho + Phi_u S_u, F(.,0) = 0
-    fu = np.asarray(view.Phi_u(RR, UU), dtype=float)
     integrand = pu * S_rho + fu * S_u
+    del phi, pr, pu, fr, fu     # full-grid fields; keep the peak down
     nu_pos = len(u_pos)
     F = np.zeros_like(S)
     upper = cumulative_simpson(integrand[nu_pos - 1:], x=u_full[nu_pos - 1:],
@@ -865,7 +855,6 @@ def build_entropy(flux, r_lo, r_hi, n=None, beta=0.5, u_max=None, rho_max=None,
 
     labels = geom.classify(RR, UU)
     lin = RR - (r_hi - r_lo) / logq
-    PsiRR = np.asarray(view.Psi(RR, UU), dtype=float)
 
     # seam diagnostics: marched values vs the exact closed forms away from D3
     diag = {}

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import microscopic_fluxes
-from .thermo import DomainPolygon, invert_parameters_grid, gibbs_measure
+from .thermo import DomainPolygon, invert_parameters_grid
 
 
 class NormalizationWarning(UserWarning):
@@ -101,13 +101,15 @@ class FluxPair:
         phi = np.einsum("ia,ab,ib->i", p, self._phi_tab, p)
         return psi.reshape(shape), phi.reshape(shape)
 
-    def _raw_with_grads(self, rho, u):
+    def _raw_with_grads(self, rho, u, site_cov=False):
         """Fluxes plus exact first partials via the covariance chain rule.
 
         d/dtau of E[f] under the tilted pair measure is Cov(f, eta_1+eta_2),
         and (tau, theta) -> (rho, u) has Jacobian equal to the single-site
         covariance matrix, so no finite differencing is involved.  This stays
-        well defined arbitrarily close to the rho = 0 edge.
+        well defined arbitrarily close to the rho = 0 edge.  With
+        ``site_cov`` the single-site (Var eta, Cov, Var zeta) of the same
+        tilt are returned as well.
         """
         p, shape = self._tilted(rho, u)
         m = self.model
@@ -117,22 +119,27 @@ class FluxPair:
         c11 = p @ (e * e) - mean_e ** 2
         c12 = p @ (e * z) - mean_e * mean_z
         c22 = p @ (z * z) - mean_z ** 2
+        det = c11 * c22 - c12 * c12
         out = []
         for tab in (self._psi_tab, self._phi_tab):
+            # the contraction of _raw, so Psi and Phi equal bundle's bitwise
             val = np.einsum("ia,ab,ib->i", p, tab, p)
             # Cov(f, eta_1 + eta_2) and Cov(f, zeta_1 + zeta_2)
-            fe = (np.einsum("ia,ab,ib,a->i", p, tab, p, e)
-                  + np.einsum("ia,ab,ib,b->i", p, tab, p, e))
-            fz = (np.einsum("ia,ab,ib,a->i", p, tab, p, z)
-                  + np.einsum("ia,ab,ib,b->i", p, tab, p, z))
-            d_tau = fe - 2.0 * mean_e * val
-            d_theta = fz - 2.0 * mean_z * val
-            det = c11 * c22 - c12 * c12
+            both = (p @ tab) * p + (p @ tab.T) * p
+            d_tau = both @ e - 2.0 * mean_e * val
+            d_theta = both @ z - 2.0 * mean_z * val
             d_rho = (d_tau * c22 - d_theta * c12) / det
             d_u = (-d_tau * c12 + d_theta * c11) / det
             out.append((val.reshape(shape), d_rho.reshape(shape),
                         d_u.reshape(shape)))
+        if site_cov:
+            return out, tuple(c.reshape(shape) for c in (c11, c12, c22))
         return out
+
+    def bundle(self, rho, u):
+        """(Psi, Phi, Psi_rho, Psi_u, Phi_rho, Phi_u) from one tilt solve."""
+        (psi, pr, pu), (phi, fr, fu) = self._raw_with_grads(rho, u)
+        return psi, phi - self._phi_origin, pr, pu, fr, fu
 
     # -- flux values ------------------------------------------------------
     def Psi(self, rho, u):
@@ -176,13 +183,8 @@ class FluxPair:
                          "Phi_rho", "Phi_u"])
             for r in rho_grid:
                 for u in u_grid:
-                    wr.writerow([f"{r:.12g}", f"{u:.12g}",
-                                 f"{float(self.Psi(r, u)):.12g}",
-                                 f"{float(self.Phi(r, u)):.12g}",
-                                 f"{float(self.Psi_rho(r, u)):.12g}",
-                                 f"{float(self.Psi_u(r, u)):.12g}",
-                                 f"{float(self.Phi_rho(r, u)):.12g}",
-                                 f"{float(self.Phi_u(r, u)):.12g}"])
+                    wr.writerow([f"{float(v):.12g}"
+                                 for v in (r, u, *self.bundle(r, u))])
 
 
 def _corner_limit(f, eps0=0.2, levels=3):
@@ -214,12 +216,8 @@ def onsager_residual(model, rho, u, flux=None):
     with all moments evaluated by exact sums under pi_{rho,u}.
     """
     fp = flux if flux is not None else macroscopic_flux(model)
-    tau, theta, _ = invert_parameters_grid(model, rho, u)
-    p = gibbs_measure(model, float(tau), float(theta))
-    e, z = model.eta, model.zeta
-    var_e = p @ (e * e) - (p @ e) ** 2
-    var_z = p @ (z * z) - (p @ z) ** 2
-    cov = p @ (e * z) - (p @ e) * (p @ z)
-    lhs = fp.Psi_u(rho, u) * var_z - fp.Phi_u(rho, u) * cov
-    rhs = fp.Phi_rho(rho, u) * var_e - fp.Psi_rho(rho, u) * cov
+    ((_, pr, pu), (_, fr, fu)), (var_e, cov, var_z) = fp._raw_with_grads(
+        rho, u, site_cov=True)
+    lhs = pu * var_z - fu * cov
+    rhs = fr * var_e - pr * cov
     return float(abs(lhs - rhs))

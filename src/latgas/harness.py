@@ -303,12 +303,13 @@ def _sample_blocks(model, plan, n, rho0, u0, samples, seed):
     f_r, f_u = plan.field_scale(n)
     rho_hat = np.empty(samples)
     u_hat = np.empty(samples)
-    chunk = max(1, int(2e7 // (2 * l)))
+    chunk = max(1, int(2e6 // (2 * l)))
     done = 0
     while done < samples:
         take = min(chunk, samples - done)
         draws = rng.random((take, offs.size))
-        spins = (draws[..., None] > cum[None, None, :]).sum(axis=-1)
+        # inverse CDF: the spin is the number of cumulative weights below
+        spins = np.searchsorted(cum, draws)
         eta = model.eta[spins]
         zeta = model.zeta[spins]
         rho_hat[done:done + take] = f_r * (eta @ wts)

@@ -110,8 +110,7 @@ class ModelFluxView:
 
     def bundle(self, rho, u):
         """(Psi, Phi, Psi_rho, Psi_u, Phi_rho, Phi_u) in one tilt solve."""
-        (psi, pr, pu), (phi, fr, fu) = self.fp._raw_with_grads(rho, u)
-        return psi, phi - self.fp._phi_origin, pr, pu, fr, fu
+        return self.fp.bundle(rho, u)
 
     def contains(self, rho, u, margin=0.0):
         return self.fp.domain.contains(rho, u, margin=margin)
@@ -201,13 +200,17 @@ class EigenData:
 
 
 def _jacobian_entries(flux, rho, u):
-    return (flux.Psi_rho(rho, u), flux.Psi_u(rho, u),
-            flux.Phi_rho(rho, u), flux.Phi_u(rho, u))
+    """(Psi_rho, Psi_u, Phi_rho, Phi_u) from one flux evaluation."""
+    return flux.bundle(rho, u)[2:]
 
 
 def wave_speeds(flux, rho, u, strict=True):
     """Both characteristic speeds (lam >= mu), vectorized."""
-    pr, pu, fr, fu = _jacobian_entries(flux, rho, u)
+    return _speeds(*_jacobian_entries(flux, rho, u), strict=strict)
+
+
+def _speeds(pr, pu, fr, fu, strict=True):
+    """Eigenvalues (lam >= mu) of the Jacobian [[pr, pu], [fr, fu]]."""
     disc = (fu - pr) ** 2 + 4.0 * fr * pu
     if strict and np.any(disc < -1e-14):
         raise ComplexEigenvalues(f"discriminant {np.min(disc):.3e} < 0")
@@ -353,10 +356,24 @@ def convex_entropy(rho, u):
     return rho * np.log(rho) + 0.5 * np.asarray(u) ** 2
 
 
-def convex_entropy_pde_residual(gamma, rho, u):
-    """Residual of rho*S_rr + (2g-1)*u*S_ru - S_uu for the convex entropy."""
+def convex_entropy_hessian(rho, u):
+    """(S_rr, S_ru, S_uu) of the convex entropy: diag(1/rho, 1)."""
     rho = np.asarray(rho, dtype=float)
-    return rho * (1.0 / rho) + (2 * gamma - 1) * np.asarray(u) * 0.0 - 1.0
+    shape = np.broadcast(rho, u).shape
+    return 1.0 / rho, np.zeros(shape), np.ones(shape)
+
+
+def convex_entropy_pde_residual(flux, rho, u, hessian=convex_entropy_hessian):
+    """Residual Psi_u S_rr + (Phi_u - Psi_rho) S_ru - Phi_rho S_uu of the Lax
+    entropy equation for ``flux``, with (S_rr, S_ru, S_uu) = hessian(rho, u).
+
+    It vanishes where S is an entropy of the system: for the convex entropy
+    that holds for every limit flux, and fails for fluxes with another
+    Jacobian structure (e.g. the two-lane model).
+    """
+    _, _, pr, pu, fr, fu = flux.bundle(rho, u)
+    s_rr, s_ru, s_uu = hessian(rho, u)
+    return pu * s_rr + (fu - pr) * s_ru - fr * s_uu
 
 
 # ---------------------------------------------------------------------------
@@ -390,38 +407,38 @@ def _minmod(a, b):
 
 
 def _muscl_step(flux, R, U, dt, dx):
-    """One MUSCL-Hancock step with local Lax-Friedrichs interface flux."""
+    """One MUSCL-Hancock step with local Lax-Friedrichs interface flux.
 
-    def F(rr, uu):
-        return flux.Psi(rr, uu), flux.Phi(rr, uu)
+    The fluxes are evaluated twice per step, each time on a stacked array:
+    once on all cell faces (left faces, then right faces) for the half-step
+    predictor, and once on all interface states (left, then right states),
+    whose bundle gives both the interface fluxes and the wave speeds.
+    """
 
     def slopes(q):
         dl = q - np.roll(q, 1)
         dr = np.roll(q, -1) - q
         return _minmod(dl, dr)
 
+    m = R.size
     sR, sU = slopes(R), slopes(U)
-    # face values inside each cell
-    RL, RR = R - 0.5 * sR, R + 0.5 * sR     # left face, right face
-    UL, UR = U - 0.5 * sU, U + 0.5 * sU
-    fRL = F(RL, UL)
-    fRR = F(RR, UR)
+    # face values inside each cell: [left faces, right faces]
+    RF = np.concatenate([R - 0.5 * sR, R + 0.5 * sR])
+    UF = np.concatenate([U - 0.5 * sU, U + 0.5 * sU])
+    psi, phi = flux.bundle(RF, UF)[:2]
     # half-step predictor, applied to both faces
-    cor_r = 0.5 * dt / dx * (fRR[0] - fRL[0])
-    cor_u = 0.5 * dt / dx * (fRR[1] - fRL[1])
-    RL, RR = RL - cor_r, RR - cor_r
-    UL, UR = UL - cor_u, UR - cor_u
+    RF -= np.tile(0.5 * dt / dx * (psi[m:] - psi[:m]), 2)
+    UF -= np.tile(0.5 * dt / dx * (phi[m:] - phi[:m]), 2)
     # interface i+1/2: left state from cell i, right state from cell i+1
-    lr, lu = RR, UR
-    rr, ru = np.roll(RL, -1), np.roll(UL, -1)
-    lam_l, mu_l = wave_speeds(flux, lr, lu, strict=False)
-    lam_r, mu_r = wave_speeds(flux, rr, ru, strict=False)
-    a = np.maximum(np.maximum(np.abs(lam_l), np.abs(mu_l)),
-                   np.maximum(np.abs(lam_r), np.abs(mu_r)))
-    fl = F(lr, lu)
-    fr = F(rr, ru)
-    flux_rho = 0.5 * (fl[0] + fr[0]) - 0.5 * a * (rr - lr)
-    flux_u = 0.5 * (fl[1] + fr[1]) - 0.5 * a * (ru - lu)
+    lr, lu = RF[m:], UF[m:]
+    rr, ru = np.roll(RF[:m], -1), np.roll(UF[:m], -1)
+    psi, phi, *jac = flux.bundle(np.concatenate([lr, rr]),
+                                 np.concatenate([lu, ru]))
+    lam, mu = _speeds(*jac, strict=False)
+    speed = np.maximum(np.abs(lam), np.abs(mu))
+    a = np.maximum(speed[:m], speed[m:])
+    flux_rho = 0.5 * (psi[:m] + psi[m:]) - 0.5 * a * (rr - lr)
+    flux_u = 0.5 * (phi[:m] + phi[m:]) - 0.5 * a * (ru - lu)
     R_new = R - dt / dx * (flux_rho - np.roll(flux_rho, 1))
     U_new = U - dt / dx * (flux_u - np.roll(flux_u, 1))
     return R_new, U_new
@@ -443,7 +460,8 @@ def _spectral_filter(q, strength=36.0, order=16):
 
 def _central4_step(flux, R, U, dt, dx):
     def rhs(rr, uu):
-        return -_dx4(flux.Psi(rr, uu), dx), -_dx4(flux.Phi(rr, uu), dx)
+        psi, phi = flux.bundle(rr, uu)[:2]
+        return -_dx4(psi, dx), -_dx4(phi, dx)
 
     k1 = rhs(R, U)
     k2 = rhs(R + 0.5 * dt * k1[0], U + 0.5 * dt * k1[1])

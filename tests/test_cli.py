@@ -31,6 +31,7 @@ def test_solve_pde_csv(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "solve-pde"
     assert "numpy" in manifest["versions"]
+    assert manifest["status"] == "ok" and "error" not in manifest
 
 
 def test_manifest_roundtrip(tmp_path, capsys):
@@ -52,6 +53,12 @@ def test_invariant_failure_is_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ") and err.count("\n") == 1
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["command"] == "solve-pde"
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == err[len("error: "):].strip()
+    assert "outside the flux domain" in manifest["error"]
+    assert manifest["params"]["flux"] == "model:pm1"
 
 
 def test_simulate_outputs(tmp_path):

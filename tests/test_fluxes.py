@@ -134,3 +134,30 @@ def test_csv_export(tmp_path, pm1_flux):
     assert len(rows) == 1 + 6
     r, u = float(rows[1][0]), float(rows[1][1])
     assert abs(float(rows[1][2]) - r * u) < 1e-9
+
+
+def test_bundle_equals_per_quantity_methods(pm1_flux, two_lane_flux):
+    for fp in (pm1_flux, two_lane_flux):
+        R, U = _interior_grid(fp.domain, n=9)
+        got = fp.bundle(R, U)
+        want = (fp.Psi(R, U), fp.Phi(R, U), fp.Psi_rho(R, U), fp.Psi_u(R, U),
+                fp.Phi_rho(R, U), fp.Phi_u(R, U))
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+def test_one_tilt_solve_per_point(tmp_path, pm1, pm1_flux, monkeypatch):
+    import latgas.fluxes
+
+    calls = []
+    inner = latgas.fluxes.invert_parameters_grid
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(latgas.fluxes, "invert_parameters_grid", counting)
+    onsager_residual(pm1, 0.4, 0.1, pm1_flux)
+    assert len(calls) == 1
+    pm1_flux.export_csv(tmp_path / "flux.csv", [0.3, 0.5], [-0.2, 0.0, 0.2])
+    assert len(calls) == 1 + 6

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from latgas.harness import (ExperimentConfig, TooLarge,
+from latgas.harness import (ExperimentConfig, TooLarge, _sample_blocks,
                             microcanonical_moment_check, run_eulerian,
                             run_intermediate, tail_checks)
 from latgas.sim import ScalingPlan
@@ -76,6 +76,26 @@ def test_tail_domination(pm1):
     assert rep.L == 50.0
     assert rep.passed()
     assert 0.05 < rep.C_rho < 10.0
+
+
+def test_block_sampler_matches_comparison_formula(pm1):
+    # spins by counting the cumulative weights below each uniform draw, all
+    # draws taken at once; the sampler draws in chunks of 20000 at l = 50
+    from latgas.sim import philox_stream, weight_function
+    from latgas.thermo import gibbs_measure, invert_parameters_grid
+
+    plan, n, samples, seed = ScalingPlan(l=50), 1000, 25_000, 5
+    rho_hat, u_hat, l = _sample_blocks(pm1, plan, n, 0.5, 0.1, samples, seed)
+    assert l == 50
+    tau, theta, _ = invert_parameters_grid(pm1, 0.5, 0.1)
+    cum = np.cumsum(gibbs_measure(pm1, float(tau), float(theta)))
+    offs = np.arange(-l + 1, l)
+    draws = philox_stream(seed, 77).random((samples, offs.size))
+    spins = (draws[..., None] > cum[None, None, :]).sum(axis=-1)
+    wts = weight_function(offs / l) / l
+    assert np.allclose(rho_hat, pm1.eta[spins] @ wts, rtol=0, atol=1e-12)
+    assert np.allclose(u_hat, pm1.zeta[spins] @ wts, rtol=0, atol=1e-12)
+    assert np.array_equal(np.searchsorted(cum, draws), spins)
 
 
 def test_tail_below_mean_trivial(pm1):

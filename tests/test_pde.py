@@ -50,6 +50,11 @@ def test_complex_eigenvalues_rejected():
         Phi_rho = staticmethod(lambda r, u: np.asarray(1.0))
         Phi_u = staticmethod(lambda r, u: np.asarray(0.0))
 
+        @staticmethod
+        def bundle(r, u):
+            return (np.asarray(0.0), np.asarray(0.0), np.asarray(0.0),
+                    np.asarray(-1.0), np.asarray(1.0), np.asarray(0.0))
+
     with pytest.raises(ComplexEigenvalues):
         eigenstructure(Bad(), 0.5, 0.0)
 
@@ -138,9 +143,28 @@ def test_genuine_nonlinearity():
 
 def test_convex_entropy():
     assert abs(float(convex_entropy(1.0, 0.0))) < 1e-15
-    # Hessian diag(1/rho, 1) is positive definite for rho > 0
-    assert float(convex_entropy_pde_residual(2.0, 2.0, 0.5)) == 0.0
-    assert float(convex_entropy_pde_residual(0.3, 2.0, 0.5)) == 0.0
+
+
+def test_convex_entropy_residual_vanishes_for_limit_fluxes():
+    R, U = np.meshgrid(np.linspace(0.05, 3.0, 7), np.linspace(-1.0, 1.0, 7))
+    for g in (0.3, 0.5, 1.0, 2.0, 3.5):
+        res = convex_entropy_pde_residual(LimitFlux(g), R, U)
+        assert res.shape == R.shape
+        assert np.max(np.abs(res)) < 1e-12
+
+
+def test_convex_entropy_residual_detects_mismatch(two_lane_flux):
+    # two-lane fluxes: Psi_u = rho (1 - rho), Phi_rho = 1 - u^2, so the
+    # convex entropy leaves the residual u^2 - rho
+    view = ModelFluxView(two_lane_flux)
+    R, U = np.meshgrid(np.linspace(0.1, 0.6, 4), np.linspace(-0.5, 0.5, 5))
+    res = convex_entropy_pde_residual(view, R, U)
+    assert np.max(np.abs(res - (U ** 2 - R))) < 1e-8
+    assert np.min(np.abs(res)) > 1e-3
+    # a wrong Hessian fails for the limit flux too
+    wrong = lambda r, u: (1.0 / r, np.zeros_like(r), np.full_like(r, 2.0))
+    res = convex_entropy_pde_residual(LimitFlux(2.0), R, U, hessian=wrong)
+    assert np.max(np.abs(res + 1.0)) < 1e-12
 
 
 def test_constant_data_preserved():
@@ -299,3 +323,39 @@ def test_pm1_flux_equals_limit_flux_gamma1(pm1_flux):
     R, U = np.meshgrid(np.linspace(0.05, 0.7, 6), np.linspace(-0.25, 0.25, 6))
     assert np.max(np.abs(view.Psi(R, U) - lim.Psi(R, U))) < 1e-10
     assert np.max(np.abs(view.Phi(R, U) - lim.Phi(R, U))) < 1e-10
+
+
+def test_model_flux_step_makes_three_tilt_solves(pm1_flux, monkeypatch):
+    import latgas.fluxes
+
+    calls = []
+    inner = latgas.fluxes.invert_parameters_grid
+
+    def counting(model, rho, u, *args, **kwargs):
+        calls.append(np.size(rho))
+        return inner(model, rho, u, *args, **kwargs)
+
+    monkeypatch.setattr(latgas.fluxes, "invert_parameters_grid", counting)
+    m = 32
+    run = solve(ModelFluxView(pm1_flux),
+                lambda x: 0.5 + 0.05 * np.sin(2 * np.pi * x),
+                lambda x: 0.05 * np.cos(2 * np.pi * x), 0.02, m=m)
+    assert run.steps > 0
+    assert len(calls) <= 3 * run.steps
+    # dt speeds on the cells, then the stacked faces and interface states
+    assert sum(calls) <= 5 * m * run.steps
+
+
+def test_pm1_model_flux_solve_equals_limit_flux(pm1_flux):
+    rho0 = lambda x: 0.5 + 0.08 * np.sin(2 * np.pi * x)
+    u0 = lambda x: 0.05 * np.cos(2 * np.pi * x)
+    for scheme in ("muscl", "central4"):
+        a = solve(ModelFluxView(pm1_flux), rho0, u0, 0.05, m=64,
+                  scheme=scheme, snapshot_times=(0.025,))
+        b = solve(LimitFlux(1.0), rho0, u0, 0.05, m=64, scheme=scheme,
+                  snapshot_times=(0.025,))
+        assert a.steps == b.steps
+        for (ta, ra, ua), (tb, rb, ub) in zip(a.snapshots, b.snapshots):
+            assert ta == tb
+            assert np.max(np.abs(ra.values - rb.values)) < 1e-10
+            assert np.max(np.abs(ua.values - ub.values)) < 1e-10
