@@ -78,14 +78,8 @@ def cmd_fluxes(args):
         margin = 0.04 * max(dom.rho_max, 1.0)
         rr = np.linspace(margin, dom.rho_max - margin, args.grid)
         uu = np.linspace(-dom.u_max + margin, dom.u_max - margin, args.grid)
-        keep_r, keep_u = [], []
-        for r in rr:
-            for u in uu:
-                if dom.contains(r, u, margin=margin * 0.5):
-                    keep_r.append(r)
-                    keep_u.append(u)
-        fp.export_csv(path, sorted(set(keep_r)),
-                      sorted(set(np.round(keep_u, 12))))
+        fp.export_points_csv(path, [(r, u) for r in rr for u in uu
+                                    if dom.contains(r, u, margin=margin * 0.5)])
         outputs.append(path)
         _write_manifest(args.out, "fluxes", _params(args), outputs)
     return 0

@@ -17,6 +17,7 @@ differencing S.
 from __future__ import annotations
 
 import csv
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -274,8 +275,15 @@ def _stencil(offsets, d):
     return np.linalg.solve(A, b)
 
 
-_D1_EDGE = [_stencil(range(6), 1), _stencil(range(-1, 5), 1)]
-_D2_EDGE = [_stencil(range(6), 2), _stencil(range(-1, 5), 2)]
+def _edge_weights(d):
+    """(6, 2) weights of the two one-sided rows at the left edge (on
+    f[..., :6]) and, mirrored with the parity of d, at the right edge."""
+    left = np.stack([_stencil(range(6), d), _stencil(range(-1, 5), d)], axis=1)
+    return left, (-1) ** d * left[::-1, ::-1]
+
+
+_D1_LEFT, _D1_RIGHT = _edge_weights(1)
+_D2_LEFT, _D2_RIGHT = _edge_weights(2)
 
 
 def d1_4(f, h):
@@ -283,10 +291,8 @@ def d1_4(f, h):
     out = np.empty_like(f)
     out[..., 2:-2] = (f[..., :-4] - 8 * f[..., 1:-3]
                       + 8 * f[..., 3:-1] - f[..., 4:]) / (12 * h)
-    for i, w in enumerate(_D1_EDGE):
-        sl = tuple(np.arange(i - (1 if i else 0), i - (1 if i else 0) + 6))
-        out[..., i] = sum(w[j] * f[..., sl[j]] for j in range(6)) / h
-        out[..., -1 - i] = -sum(w[j] * f[..., -1 - sl[j]] for j in range(6)) / h
+    out[..., :2] = f[..., :6] @ _D1_LEFT / h
+    out[..., -2:] = f[..., -6:] @ _D1_RIGHT / h
     return out
 
 
@@ -295,20 +301,17 @@ def d2_4(f, h):
     out = np.empty_like(f)
     out[..., 2:-2] = (-f[..., :-4] + 16 * f[..., 1:-3] - 30 * f[..., 2:-2]
                       + 16 * f[..., 3:-1] - f[..., 4:]) / (12 * h ** 2)
-    for i, w in enumerate(_D2_EDGE):
-        sl = tuple(np.arange(i - (1 if i else 0), i - (1 if i else 0) + 6))
-        out[..., i] = sum(w[j] * f[..., sl[j]] for j in range(6)) / h ** 2
-        out[..., -1 - i] = sum(w[j] * f[..., -1 - sl[j]] for j in range(6)) / h ** 2
+    out[..., :2] = f[..., :6] @ _D2_LEFT / h ** 2
+    out[..., -2:] = f[..., -6:] @ _D2_RIGHT / h ** 2
     return out
 
 
 def _hyper6(f):
-    """Sixth difference (zero near edges), used as weak grid-scale damping."""
-    out = np.zeros_like(f)
-    out[..., 3:-3] = (f[..., :-6] - 6 * f[..., 1:-5] + 15 * f[..., 2:-4]
-                      - 20 * f[..., 3:-3] + 15 * f[..., 4:-2]
-                      - 6 * f[..., 5:-1] + f[..., 6:])
-    return out
+    """Sixth difference on the cells 3:-3 (it is zero nearer the edges),
+    used as weak grid-scale damping."""
+    return (f[..., :-6] - 6 * f[..., 1:-5] + 15 * f[..., 2:-4]
+            - 20 * f[..., 3:-3] + 15 * f[..., 4:-2]
+            - 6 * f[..., 5:-1] + f[..., 6:])
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +325,16 @@ class EntropyCoefficients:
     terms A f_rho + B f_u + G f (+ source); for the limit fluxes these reduce
     to constant A = kappa in {1, 2gamma-1, 2, 2gamma} with B = G = 0.  For
     model fluxes the coefficients involve rho- and u-derivatives of the
-    ratios Psi_u/Phi_rho etc., formed by differencing fused flux bundles on a
-    9-point offset pattern; everything at one u level shares a single tilt
-    solve per offset.
+    ratios Psi_u/Phi_rho etc., formed by differencing flux bundles on a
+    9-point offset pattern; everything at one u level comes from a single
+    stacked bundle, so one tilt solve.
     """
 
     PU_FLOOR = 1e-9
+    # the 9-point offset pattern (multiples of h in rho and in u)
+    _OFFSETS = {"C": (0, 0), "R+": (1, 0), "R-": (-1, 0), "U+": (0, 1),
+                "U-": (0, -1), "R+U+": (1, 1), "R+U-": (1, -1),
+                "R-U+": (-1, 1), "R-U-": (-1, -1)}
 
     def __init__(self, flux, rho_grid):
         self.flux = flux
@@ -337,26 +344,16 @@ class EntropyCoefficients:
         self._cache = {}
 
     def main(self, u):
+        if self.is_limit:
+            # exact coefficients: the centre bundle is all that is needed
+            _, _, pr, pu, fr, fu = self.flux.bundle(np.maximum(self.rho, 1e-9),
+                                                    u)
+            return pu, fu - pr, fr
         b = self._bundles(u)["C"]
         return b["pu"].copy(), (b["fu"] - b["pr"]), b["fr"].copy()
 
-    def _eval(self, rho, u):
-        psi, phi, pr, pu, fr, fu = self.flux.bundle(np.maximum(rho, 1e-9),
-                                                    np.full_like(rho, u))
-        pu_f = np.maximum(np.asarray(pu, dtype=float), self.PU_FLOOR)
-        return {"pr": np.asarray(pr, dtype=float),
-                "pu": np.asarray(pu, dtype=float),
-                "fr": np.asarray(fr, dtype=float),
-                "fu": np.asarray(fu, dtype=float),
-                # the ratio fields entering the lower-order coefficients
-                "pu_fr": np.asarray(pu, dtype=float) / np.asarray(fr, dtype=float),
-                "gap_fr": (np.asarray(fu, dtype=float) - np.asarray(pr, dtype=float))
-                          / np.asarray(fr, dtype=float),
-                "gap_pu": (np.asarray(fu, dtype=float) - np.asarray(pr, dtype=float))
-                          / pu_f,
-                "fr_pu": np.asarray(fr, dtype=float) / pu_f}
-
     def _bundles(self, u):
+        """Model-flux fields on the offset pattern from one stacked bundle."""
         key = round(float(u), 14)
         if key in self._cache:
             return self._cache[key]
@@ -364,18 +361,20 @@ class EntropyCoefficients:
         rho = self.rho
         rm = np.maximum(rho - h, 1e-9)
         rp = rho + h
-        out = {
-            "C": self._eval(rho, u),
-            "R+": self._eval(rp, u),
-            "R-": self._eval(rm, u),
-            "U+": self._eval(rho, u + h),
-            "U-": self._eval(rho, u - h),
-            "R+U+": self._eval(rp, u + h),
-            "R+U-": self._eval(rp, u - h),
-            "R-U+": self._eval(rm, u + h),
-            "R-U-": self._eval(rm, u - h),
-            "_rm": rm, "_rp": rp,
-        }
+        r_at = {0: rho, 1: rp, -1: rm}
+        R = np.stack([r_at[i] for i, _ in self._OFFSETS.values()])
+        U = np.stack([np.full_like(rho, u + j * h)
+                      for _, j in self._OFFSETS.values()])
+        _, _, pr, pu, fr, fu = (np.asarray(a, dtype=float) for a in
+                                self.flux.bundle(np.maximum(R, 1e-9), U))
+        pu_f = np.maximum(pu, self.PU_FLOOR)
+        gap = fu - pr
+        # the ratio fields entering the lower-order coefficients
+        fields = {"pr": pr, "pu": pu, "fr": fr, "fu": fu, "pu_fr": pu / fr,
+                  "gap_fr": gap / fr, "gap_pu": gap / pu_f, "fr_pu": fr / pu_f}
+        out = {name: {k: v[i] for k, v in fields.items()}
+               for i, name in enumerate(self._OFFSETS)}
+        out["_rm"], out["_rp"] = rm, rp
         if len(self._cache) > 12:
             self._cache.clear()
         self._cache[key] = out
@@ -497,75 +496,80 @@ class InterpolatedCoefficients:
 
 
 def _march_system(coeffs, fields0, u_levels, cfl=0.25, hyper=0.3,
-                  speed_cap=None, pin_right=None, pin_cells=4):
+                  speed_cap=None, pin_right=None, pin_cells=4, stats=None):
     """March the coupled Cauchy problems upward in u, storing each level.
 
     ``fields0`` is an ordered dict name -> (f0, g0); sources couple
     S_rr <- S_ru and S_ru <- S_rr.  The left-moving characteristic enters
     through the right edge of the strip; ``pin_right`` supplies the exact
     (f, g) values there (the deep-D2 closed forms), which are re-imposed on
-    the outermost ``pin_cells`` cells at every stage.
+    the outermost ``pin_cells`` cells at every stage.  All fields march as
+    one (2 nf, n_rho) array, f rows then g rows; ``stats``, if given,
+    receives the step count, the march seconds and the coefficient seconds.
     """
     rho = coeffs.rho
     h = rho[1] - rho[0]
     names = list(fields0.keys())
-    state = {k: (fields0[k][0].copy(), fields0[k][1].copy()) for k in names}
-    out = {k: [state[k][0].copy()] for k in names}
-    out_g = {k: [state[k][1].copy()] for k in names}
+    nf = len(names)
+    state = np.array([fields0[k][0] for k in names]
+                     + [fields0[k][1] for k in names], dtype=float)
+    levels = np.empty((len(u_levels),) + state.shape)
+    levels[0] = state
 
-    def apply_pin(st):
-        if pin_right is None:
-            return st
-        for k, (fp, gp) in pin_right.items():
-            if k in st:
-                st[k][0][-pin_cells:] = fp[-pin_cells:]
-                st[k][1][-pin_cells:] = gp[-pin_cells:]
-        return st
+    pin = [k for k in names if k in (pin_right or {})]
+    pin_rows = [names.index(k) + j * nf for j in (0, 1) for k in pin]
+    pin_vals = np.array([pin_right[k][j][-pin_cells:] for j in (0, 1)
+                         for k in pin]).reshape(len(pin_rows), pin_cells)
 
+    def apply_pin(x):
+        x[pin_rows, -pin_cells:] = pin_vals
+        return x
+
+    # row of the f field each equation's source term multiplies
+    partner = np.arange(nf)
+    if "S_rr" in names and "S_ru" in names:
+        i, j = names.index("S_rr"), names.index("S_ru")
+        partner[i], partner[j] = j, i
+
+    def lower(u):   # stacked (A, B, G, source) rows
+        zero = np.zeros_like(rho)
+        return tuple(np.array(c) for c in zip(*(
+            (coeffs.lower_order(k, u) if k != "S" else (zero,) * 3)
+            + (coeffs.source_coeff(k, u) if partner[i] != i else zero,)
+            for i, k in enumerate(names))))
+
+    # the limit fluxes' lower-order rows do not depend on u
+    fixed = lower(0.0) if coeffs.is_limit else None
     cache = {}
+    coeff_s = 0.0
 
     def rows(u):
+        nonlocal coeff_s
         key = round(float(u), 14)
         if key not in cache:
+            t0 = time.perf_counter()
             pu, gap, fr = coeffs.main(u)
-            low = {k: coeffs.lower_order(k, u) for k in names if k != "S"}
-            src = {k: coeffs.source_coeff(k, u) for k in ("S_rr", "S_ru")
-                   if k in names}
             if len(cache) > 16:
                 cache.clear()
-            cache[key] = (pu, gap, fr, low, src)
+            cache[key] = (pu, gap, 1.0 / fr) + (lower(u) if fixed is None
+                                                else fixed)
+            coeff_s += time.perf_counter() - t0
         return cache[key]
 
-    def rhs(u, st):
-        pu, gap, fr, low, src = rows(u)
-        inv_fr = 1.0 / fr
-        d = {}
-        for k in names:
-            f, g = st[k]
-            f_r = d1_4(f, h)
-            f_rr = d2_4(f, h)
-            g_r = d1_4(g, h)
-            main = pu * f_rr + gap * g_r
-            if k == "S":
-                extra = 0.0
-            else:
-                A, B, G = low[k]
-                extra = A * f_r + B * g + G * f
-            s_term = 0.0
-            if k == "S_rr" and "S_ru" in st:
-                s_term = src["S_rr"] * st["S_ru"][0]
-            elif k == "S_ru" and "S_rr" in st:
-                s_term = src["S_ru"] * st["S_rr"][0]
-            g_dot = (main + extra + s_term) * inv_fr
-            f_dot = g
-            if hyper:
-                # the 6th-difference kernel is negative semidefinite, so
-                # adding it damps grid-scale modes at rate ~ hyper/h
-                damp = hyper / h * 0.015625  # / 64
-                f_dot = f_dot + damp * _hyper6(f)
-                g_dot = g_dot + damp * _hyper6(g)
-            d[k] = (f_dot, g_dot)
-        return d
+    # the 6th-difference kernel is negative semidefinite, so adding it
+    # damps grid-scale modes at rate ~ hyper/h
+    damp = hyper / h * 0.015625  # / 64
+
+    def rhs(u, x):
+        pu, gap, inv_fr, A, B, G, src = rows(u)
+        f, g = x[:nf], x[nf:]
+        f_r, g_r = np.split(d1_4(x, h), 2)
+        dx = np.concatenate([g, (pu * d2_4(f, h) + gap * g_r
+                                 + (A * f_r + B * g + G * f)
+                                 + src * f[partner]) * inv_fr])
+        if hyper:
+            dx[..., 3:-3] += damp * _hyper6(x)
+        return dx
 
     if speed_cap is None:
         # conservative speed estimate over the strip
@@ -573,32 +577,26 @@ def _march_system(coeffs, fields0, u_levels, cfl=0.25, hyper=0.3,
         disc = np.sqrt(np.maximum(gap ** 2 + 4 * fr * pu, 0.0))
         speed_cap = float(np.max((disc + np.abs(gap)) / (2 * fr))) + 1e-9
 
+    t_start = time.perf_counter()
     u = float(u_levels[0])
-    for target in u_levels[1:]:
+    steps = 0
+    for lev, target in enumerate(u_levels[1:], start=1):
         target = float(target)
         while u < target - 1e-14:
             du = min(cfl * h / speed_cap, target - u)
             k1 = rhs(u, state)
-
-            def add(stt, kk, fac):
-                return apply_pin({m: (stt[m][0] + fac * kk[m][0],
-                                      stt[m][1] + fac * kk[m][1]) for m in names})
-
-            k2 = rhs(u + du / 2, add(state, k1, du / 2))
-            k3 = rhs(u + du / 2, add(state, k2, du / 2))
-            k4 = rhs(u + du, add(state, k3, du))
-            state = apply_pin(
-                {m: (state[m][0] + du / 6 * (k1[m][0] + 2 * k2[m][0]
-                                             + 2 * k3[m][0] + k4[m][0]),
-                     state[m][1] + du / 6 * (k1[m][1] + 2 * k2[m][1]
-                                             + 2 * k3[m][1] + k4[m][1]))
-                 for m in names})
+            k2 = rhs(u + du / 2, apply_pin(state + du / 2 * k1))
+            k3 = rhs(u + du / 2, apply_pin(state + du / 2 * k2))
+            k4 = rhs(u + du, apply_pin(state + du * k3))
+            state = apply_pin(state + du / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
             u += du
-        for k in names:
-            out[k].append(state[k][0].copy())
-            out_g[k].append(state[k][1].copy())
-    return ({k: np.array(v) for k, v in out.items()},
-            {k: np.array(v) for k, v in out_g.items()})
+            steps += 1
+        levels[lev] = state
+    if stats is not None:
+        stats.update(march_steps=steps, coefficient_s=coeff_s,
+                     march_s=time.perf_counter() - t_start)
+    return ({k: levels[:, i] for i, k in enumerate(names)},
+            {k: levels[:, nf + i] for i, k in enumerate(names)})
 
 
 # ---------------------------------------------------------------------------
@@ -653,14 +651,7 @@ class EntropyTable:
         fixed physical width (kink_frac * knot radius) plus a stencil-width
         allowance, so refinement studies measure a fixed region.
         """
-        lab = self.labels
-        ok = lab == D3
-        m = margin_cells
-        bad = lab != D3
-        for sh in range(1, m + 1):
-            for ax in (0, 1):
-                ok &= ~np.roll(bad, sh, axis=ax)
-                ok &= ~np.roll(bad, -sh, axis=ax)
+        ok = _erode(self.labels == D3, margin_cells)
         RR, UU = self.meshgrid()
         h_r = self.rho[1] - self.rho[0]
         h_u = self.u[1] - self.u[0]
@@ -786,9 +777,11 @@ def build_entropy(flux, r_lo, r_hi, n=None, beta=0.5, u_max=None, rho_max=None,
 
     logq = np.log(r_hi / r_lo)
     s0, sp0 = cutoff_profile(r_lo, r_hi, rho)
+    t0 = time.perf_counter()
     coeffs = EntropyCoefficients(view, rho)
     if not coeffs.is_limit:
         coeffs = InterpolatedCoefficients(coeffs, 0.0, u_max)
+    table_s = time.perf_counter() - t0
     pu0, _, fr0 = coeffs.main(0.0)
     h = rho[1] - rho[0]
     band = (rho >= r_lo) & (rho < r_hi)
@@ -825,8 +818,9 @@ def build_entropy(flux, r_lo, r_hi, n=None, beta=0.5, u_max=None, rho_max=None,
         "S_rr": (zero, zero),
         "S_ru": (zero, zero),
     }
+    march = {}
     out, out_g = _march_system(coeffs, fields0, u_pos, cfl=cfl, hyper=hyper,
-                               pin_right=pin_right)
+                               pin_right=pin_right, stats=march)
 
     # mirror: S, S_rho, S_rr even in u; S_u, S_ru odd
     def mirror(arr, parity):
@@ -867,6 +861,9 @@ def build_entropy(flux, r_lo, r_hi, n=None, beta=0.5, u_max=None, rho_max=None,
     diag["overlap_D2_F"] = float(np.max(np.abs((F - PsiRR)[far2]), initial=0.0))
     diag["C1"], diag["C2"], diag["r0"] = geom.C1, geom.C2, geom.r0
     diag["r0_canonical"] = False    # adaptive choice, flagged as such
+    # coefficient_s: coefficient tables before the march plus rows built in it
+    march["coefficient_s"] += table_s
+    diag.update(march)
 
     tol_overlap = 5e-3 * max(1.0, np.max(np.abs(S)))
     if max(diag["overlap_D1"], diag["overlap_D2"]) > tol_overlap:

@@ -176,15 +176,20 @@ class FluxPair:
         return _richardson(self.Psi, rho, u, h, "rho_u")
 
     def export_csv(self, path, rho_grid, u_grid):
-        """Write a `rho,u,Psi,Phi,Psi_rho,Psi_u,Phi_rho,Phi_u` table."""
+        """Write a `rho,u,Psi,Phi,Psi_rho,Psi_u,Phi_rho,Phi_u` table over
+        every pair of the two grids."""
+        self.export_points_csv(path, [(r, u) for r in rho_grid
+                                      for u in u_grid])
+
+    def export_points_csv(self, path, points):
+        """Write the same table for the listed (rho, u) points only."""
         with open(path, "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["rho", "u", "Psi", "Phi", "Psi_rho", "Psi_u",
                          "Phi_rho", "Phi_u"])
-            for r in rho_grid:
-                for u in u_grid:
-                    wr.writerow([f"{float(v):.12g}"
-                                 for v in (r, u, *self.bundle(r, u))])
+            for r, u in points:
+                wr.writerow([f"{float(v):.12g}"
+                             for v in (r, u, *self.bundle(r, u))])
 
 
 def _corner_limit(f, eps0=0.2, levels=3):

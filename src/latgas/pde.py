@@ -69,8 +69,12 @@ class LimitFlux:
                                                   np.broadcast(rho, u).shape).copy()
 
     def bundle(self, rho, u):
-        return (self.Psi(rho, u), self.Phi(rho, u), self.Psi_rho(rho, u),
-                self.Psi_u(rho, u), self.Phi_rho(rho, u), self.Phi_u(rho, u))
+        """(Psi, Phi, Psi_rho, Psi_u, Phi_rho, Phi_u), broadcast once."""
+        rho = np.asarray(rho, dtype=float)
+        u = np.asarray(u, dtype=float)
+        pr, pu = (a.copy() for a in np.broadcast_arrays(u, rho))
+        return (rho * u, rho + self.gamma * u ** 2, pr, pu, np.ones(pr.shape),
+                2.0 * self.gamma * pr)
 
     def contains(self, rho, u, margin=0.0):
         return np.asarray(rho) >= margin

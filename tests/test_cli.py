@@ -61,6 +61,17 @@ def test_invariant_failure_is_one_line(tmp_path, capsys):
     assert manifest["params"]["flux"] == "model:pm1"
 
 
+def test_fluxes_csv_stays_in_domain(tmp_path, capsys, pm1_flux):
+    out = tmp_path / "fl"
+    rc = main(["--out", str(out), "fluxes", "--model", "pm1", "--grid", "20"])
+    assert rc == 0
+    rows = np.loadtxt(out / "fluxes.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert len(rows) > 0
+    assert np.all(pm1_flux.domain.contains(rows[:, 0], rows[:, 1]))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "ok"
+
+
 def test_simulate_outputs(tmp_path):
     out = tmp_path / "sim"
     rc = main(["--seed", "3", "--out", str(out), "simulate", "--model", "pm1",

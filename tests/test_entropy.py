@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latgas.entropy import (CharGeometry, D1, D2, D3, EntropyCoefficients,
-                            SingularStart, _march_system, build_entropy,
+                            InterpolatedCoefficients, SingularStart,
+                            _march_system, build_entropy,
                             characteristic_curve, classify, cutoff_profile,
-                            max_box_in_d1, verify_bounds)
-from latgas.pde import LimitFlux, riemann_invariants
+                            d1_4, d2_4, max_box_in_d1, verify_bounds)
+from latgas.pde import (LimitFlux, ModelFluxView, ScaledFluxView,
+                        riemann_invariants)
 
 
 @given(st.floats(0.05, 2.0), st.floats(1.5, 40.0))
@@ -128,6 +130,71 @@ def test_march_reproduces_polynomial_entropy():
     assert np.max(np.abs(out["S_rho"] - (2 * RR + UU ** 2))[:, 5:cut]) < 1e-10
 
 
+def test_fd_operators_exact_on_quartics():
+    # 4th-order interior and one-sided 6-point edge rows are exact on
+    # degree-4 polynomials, so every point, edges included, must match
+    h = 0.05
+    x = 0.3 + h * np.arange(24)
+    coef = np.array([[0.7, -1.3, 2.1, -0.4, 0.9],
+                     [-2.0, 0.5, 1.0, 3.0, -1.5],
+                     [1.0, 0.0, 0.0, 0.0, 2.0]])
+    f = np.array([np.polyval(c, x) for c in coef])
+    df = np.array([np.polyval(np.polyder(c), x) for c in coef])
+    d2f = np.array([np.polyval(np.polyder(c, 2), x) for c in coef])
+    for op, want in ((d1_4(f, h), df), (d2_4(f, h), d2f)):
+        assert np.all(np.abs(op - want) <= 1e-9 * np.max(np.abs(want)))
+    for i in range(len(coef)):
+        for op, want in ((d1_4(f[i], h), df[i]), (d2_4(f[i], h), d2f[i])):
+            assert np.all(np.abs(op - want) <= 1e-9 * np.max(np.abs(want)))
+
+
+def test_limit_march_one_bundle_per_level(monkeypatch):
+    import latgas.entropy as ent
+
+    inside, levels = [], []
+    march, bundle = ent._march_system, LimitFlux.bundle
+
+    def tracked(*args, **kwargs):
+        inside.append(True)
+        try:
+            return march(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counting(self, rho, u):
+        if inside:
+            levels.append(float(u))
+        return bundle(self, rho, u)
+
+    monkeypatch.setattr(ent, "_march_system", tracked)
+    monkeypatch.setattr(LimitFlux, "bundle", counting)
+    tab = build_entropy(LimitFlux(2.0), 0.5, 0.5 * np.exp(4.0), u_max=0.6,
+                        n_rho=400, n_u=20)
+    steps = tab.diagnostics["march_steps"]
+    assert steps > 0
+    # the march visits u, u + du/2 and u + du per step; one more call
+    # for the speed estimate at the top level
+    assert len(levels) <= 2 * steps + 2
+
+
+def test_model_coefficients_one_tilt_solve_per_node(two_lane_flux,
+                                                    monkeypatch):
+    import latgas.fluxes
+
+    calls = []
+    inner = latgas.fluxes.invert_parameters_grid
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(latgas.fluxes, "invert_parameters_grid", counting)
+    view = ScaledFluxView(ModelFluxView(two_lane_flux), 1000, 0.5)
+    coeffs = EntropyCoefficients(view, np.linspace(0.0, 20.0, 40))
+    InterpolatedCoefficients(coeffs, 0.0, 1.0, nodes=7)
+    assert len(calls) == 7
+
+
 @pytest.fixture(scope="module")
 def small_table():
     return build_entropy(LimitFlux(2.0), 0.5, 0.5 * np.exp(4.0), u_max=1.2,
@@ -157,6 +224,8 @@ def test_table_overlap_consistency(small_table):
     assert d["overlap_D1"] < 1e-5
     assert d["overlap_D2"] < 1e-5
     assert d["overlap_D2_Srho"] < 1e-4
+    assert d["march_steps"] > 0 and d["march_s"] > 0
+    assert 0 < d["coefficient_s"] < d["march_s"]
 
 
 def test_table_residual_and_compat(small_table):

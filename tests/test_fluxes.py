@@ -6,6 +6,7 @@ import pytest
 
 from latgas.fluxes import NormalizationWarning, macroscopic_flux, onsager_residual
 from latgas.models import build_model
+from latgas.pde import LimitFlux
 
 
 def _interior_grid(dom, n=20, margin=0.05):
@@ -143,6 +144,20 @@ def test_bundle_equals_per_quantity_methods(pm1_flux, two_lane_flux):
         want = (fp.Psi(R, U), fp.Phi(R, U), fp.Psi_rho(R, U), fp.Psi_u(R, U),
                 fp.Phi_rho(R, U), fp.Phi_u(R, U))
         for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+def test_limit_flux_bundle_equals_per_quantity_methods():
+    fl = LimitFlux(1.75)
+    rho = np.linspace(0.0, 2.0, 7)
+    u = np.linspace(-1.0, 1.0, 5)
+    for args in ((0.3, -0.2), (rho, 0.4), (0.6, u), (rho, rho - 1.0),
+                 (rho[:, None], u[None, :])):
+        got = fl.bundle(*args)
+        want = (fl.Psi(*args), fl.Phi(*args), fl.Psi_rho(*args),
+                fl.Psi_u(*args), fl.Phi_rho(*args), fl.Phi_u(*args))
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(w)
             assert np.array_equal(g, w)
 
 
