@@ -234,29 +234,21 @@ class CharGeometry:
     def classify(self, rho, u):
         """Partition labels: D1 below sigma(-|u|; r_lo), D2 above
         sigma(|u|; r_hi), D3 in between (boundary closed into D3)."""
-        rho = np.asarray(rho, dtype=float)
-        u = np.asarray(u, dtype=float)
-        lo = self.sigma(-np.abs(u), self.r_lo)
-        hi = self.sigma(np.abs(u), self.r_hi)
-        out = np.full(np.broadcast(rho, u).shape, D3, dtype=np.int8)
-        out = np.where(rho < lo, D1, out)
-        out = np.where(rho > hi, D2, out)
-        return out
+        return self._partition(rho, u, self.r_lo, self.r_hi)
 
     def classify_single_r(self, rho, u, r):
+        """The same partition with both curves started at radius r."""
+        return self._partition(rho, u, r, r)
+
+    def _partition(self, rho, u, r_lo, r_hi):
         rho = np.asarray(rho, dtype=float)
         u = np.asarray(u, dtype=float)
-        lo = self.sigma(-np.abs(u), r)
-        hi = self.sigma(np.abs(u), r)
+        lo = self.sigma(-np.abs(u), r_lo)
+        hi = self.sigma(np.abs(u), r_hi)
         out = np.full(np.broadcast(rho, u).shape, D3, dtype=np.int8)
         out = np.where(rho < lo, D1, out)
         out = np.where(rho > hi, D2, out)
         return out
-
-
-def classify(geom, rho, u):
-    """Module-level wrapper for the domain partition."""
-    return geom.classify(rho, u)
 
 
 # ---------------------------------------------------------------------------

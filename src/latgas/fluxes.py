@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import microscopic_fluxes
-from .thermo import DomainPolygon, invert_parameters_grid
+from .thermo import DomainPolygon, invert_parameters_grid, tilted
 
 
 class NormalizationWarning(UserWarning):
@@ -87,11 +87,7 @@ class FluxPair:
         # the rho=0 edge is a chemical-potential limit; back off by a hair
         rho_eval = np.maximum(np.broadcast_to(rho, shape).astype(float), 1e-11)
         tau, theta, _ = invert_parameters_grid(self.model, rho_eval, u)
-        m = self.model
-        x = (np.asarray(tau).reshape(-1, 1) * m.eta[None, :]
-             + np.asarray(theta).reshape(-1, 1) * m.zeta[None, :])
-        w = m.pi[None, :] * np.exp(x - x.max(axis=1, keepdims=True))
-        p = w / w.sum(axis=1, keepdims=True)
+        p, _, _ = tilted(self.model, tau.reshape(-1), theta.reshape(-1))
         return p, shape
 
     def _raw(self, rho, u):

@@ -20,11 +20,13 @@ from scipy import stats as sps
 
 from .fields import Field, l1_distance, linf_distance
 from .fluxes import macroscopic_flux
-from .models import build_model, microscopic_fluxes
+# TooLarge is re-exported: callers catch it as harness.TooLarge
+from .models import (TooLarge, build_model, configurations, level_totals,
+                     microscopic_fluxes)
 from .pde import LimitFlux, ModelFluxView, smooth_solution_oracle
 from .sim import (ScalingPlan, sample_local_equilibrium, simulate,
                   empirical_fields, weight_function, philox_stream)
-from .thermo import DomainPolygon, invert_parameters_grid
+from .thermo import DomainPolygon, invert_parameters_grid, tilted
 
 
 @dataclass
@@ -292,11 +294,7 @@ def _sample_blocks(model, plan, n, rho0, u0, samples, seed):
     l = plan.block_size(n)
     rho_s, u_s = plan.scale_profile_values(np.array([rho0]), np.array([u0]), n)
     tau, theta, _ = invert_parameters_grid(model, rho_s, u_s)
-    logits = (float(tau[0]) * model.eta + float(theta[0]) * model.zeta
-              + np.log(model.pi))
-    p = np.exp(logits - logits.max())
-    p /= p.sum()
-    cum = np.cumsum(p)
+    cum = np.cumsum(tilted(model, tau[0], theta[0])[0])
     rng = philox_stream(seed, 77)
     offs = np.arange(-l + 1, l)
     wts = weight_function(offs / l) / l
@@ -379,10 +377,6 @@ def tail_checks(model, plan, n, rho0=0.5, u0=0.0, samples=1_000_000,
 # microcanonical exponential moments at tiny block size
 
 
-class TooLarge(ValueError):
-    pass
-
-
 @dataclass
 class MomentReport:
     l: int
@@ -398,15 +392,9 @@ class MomentReport:
 
 
 def _enumerate_blocks(model, l):
-    k = model.nstates
-    total = k ** l
-    if total > 10 ** 7:
-        raise TooLarge(f"{k}^{l} = {total} block configurations")
-    confs = np.array(np.unravel_index(np.arange(total), (k,) * l)).T
+    confs = configurations(model, l, 10 ** 7)
     logw = np.log(model.pi)[confs].sum(axis=1)
-    N = model.eta[confs].sum(axis=1)
-    Z2 = model.zeta_half_units[confs].sum(axis=1)
-    return confs, logw, N, Z2
+    return (confs, logw) + level_totals(model, confs)
 
 
 def _xi_values(model, confs, xi):
@@ -443,13 +431,12 @@ def microcanonical_moment_check(model, l, b=None, xi="psi", centered=False,
         zeta_b = model.zeta[confs] @ b(np.arange(l) / l) / l
         inner = inner - _xi_expectation(model, xi, eta_b, zeta_b)
 
-    key = (N.astype(np.int64) + 1) * (10 ** 7) + (Z2 + 5 * l * 10 ** 2)
-    order = np.argsort(key, kind="stable")
-    key_s = key[order]
+    _, level, counts = np.unique(np.column_stack([N, Z2]), axis=0,
+                                 return_inverse=True, return_counts=True)
+    order = np.argsort(level, kind="stable")
     inner_s = inner[order]
     logw_s = logw[order]
-    starts = np.concatenate([[0], np.nonzero(np.diff(key_s))[0] + 1,
-                             [len(key_s)]])
+    starts = np.concatenate([[0], np.cumsum(counts)])
     best_C = -np.inf
     n_classes = 0
     for a, bnd in zip(starts[:-1], starts[1:]):
@@ -472,20 +459,17 @@ def microcanonical_moment_check(model, l, b=None, xi="psi", centered=False,
 def _xi_expectation(model, xi, rho_vals, u_vals):
     """Grand-canonical pair expectation at the given (rho, u) points."""
     dom = DomainPolygon.from_model(model)
+    q = np.column_stack([rho_vals, u_vals]).astype(float)
+    # Newton cannot invert points on the boundary: pull those (only) inside
+    edge = dom.interior_margin(q[:, 0], q[:, 1]) <= 1e-9
     c = dom.vertices.mean(axis=0)
-    shrink = 0.995
-    q = np.column_stack([rho_vals, u_vals])
-    q = c + shrink * (q - c)    # pull strictly inside the domain
+    q[edge] = c + 0.995 * (q[edge] - c)
 
     psi, phi, psi_s, phi_s = microscopic_fluxes(model)
     tab = {"psi": psi, "phi": phi, "psi_s": psi_s, "phi_s": phi_s}[xi]
     # evaluate exactly per unique query point (few thousand at most)
     uniq, inv = np.unique(np.round(q, 10), axis=0, return_inverse=True)
     tau, theta, _ = invert_parameters_grid(model, uniq[:, 0], uniq[:, 1])
-    x = (tau[:, None] * model.eta[None, :] + theta[:, None] * model.zeta[None, :]
-         + np.log(model.pi)[None, :])
-    x -= x.max(axis=1, keepdims=True)
-    p = np.exp(x)
-    p /= p.sum(axis=1, keepdims=True)
+    p, _, _ = tilted(model, tau, theta)
     vals = np.einsum("ia,ab,ib->i", p, tab, p)
     return vals[inv]

@@ -284,6 +284,53 @@ def model_from_config(path):
 
 
 # ---------------------------------------------------------------------------
+# exhaustive enumeration of small tori
+
+
+class TooLarge(ModelError):
+    """An exhaustive enumeration would exceed its configuration limit."""
+
+
+def configurations(model, n, limit):
+    """All k^n configurations of n sites, row i holding the base-k digits of
+    i (first site most significant); raises TooLarge beyond ``limit``."""
+    k = model.nstates
+    total = k ** n
+    if total > limit:
+        raise TooLarge(f"{k}^{n} = {total} configurations exceed {limit}")
+    return np.array(np.unravel_index(np.arange(total), (k,) * n)).T
+
+
+def transitions(confs, rates):
+    """Every positive-rate pair jump on the torus of the rows of ``confs``.
+
+    Returns the row indices of source and target configurations and the
+    rate, ordered by (a, b, a', b', bond): the jump (a, b) -> (a', b') on
+    the bond (j, j+1 mod n).
+    """
+    n = confs.shape[1]
+    k = rates.shape[0]
+    stride = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    src, dst, rate = [], [], []
+    for a, b, ap, bp in zip(*np.nonzero(rates > 0)):
+        for j in range(n):
+            jp = (j + 1) % n
+            sel = np.nonzero((confs[:, j] == a) & (confs[:, jp] == b))[0]
+            src.append(sel)
+            dst.append(sel + (ap - a) * stride[j] + (bp - b) * stride[jp])
+            rate.append(np.full(sel.size, rates[a, b, ap, bp]))
+    if not src:
+        return (np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),)
+    return np.concatenate(src), np.concatenate(dst), np.concatenate(rate)
+
+
+def level_totals(model, confs):
+    """Conserved totals (N, Z2) of each configuration, Z2 in units of 1/2."""
+    return (model.eta[confs].sum(axis=1),
+            model.zeta_half_units[confs].sum(axis=1))
+
+
+# ---------------------------------------------------------------------------
 # structural condition checks
 
 
@@ -419,51 +466,18 @@ def _check_gradient_flux(model, tol=EXACT_TOL):
     return ConditionResult(worst <= tol, worst, tol), kappa, chi
 
 
-def _level_sets(model, n):
-    """Group the torus configurations of length n by conserved totals."""
-    k = model.nstates
-    confs = np.array(list(product(range(k), repeat=n)), dtype=np.int64)
-    N = model.eta[confs].sum(axis=1)
-    Z2 = model.zeta_half_units[confs].sum(axis=1)
-    keys = N * (10 ** 9) + (Z2 + 4 * n * 10 ** 4)
-    return confs, keys
-
-
 def _check_irreducibility(model, n):
     """Strong connectivity of every (N, Z) level set on the torus of size n."""
-    k = model.nstates
-    total = k ** n
-    if total > 4 ** 8:
-        raise ModelError(f"block length {n} too large for exhaustive check")
-    confs, keys = _level_sets(model, n)
-    # encode configurations as base-k integers for fast lookup
-    powers = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    code = confs @ powers
-
-    rate_pos = (model.r + model.s) > 0
-    moves = [(a, b, ap, bp) for a, b, ap, bp in product(range(k), repeat=4)
-             if rate_pos[a, b, ap, bp]]
-    rows, cols = [], []
-    for a, b, ap, bp in moves:
-        for j in range(n):
-            jp = (j + 1) % n
-            sel = (confs[:, j] == a) & (confs[:, jp] == b)
-            if not np.any(sel):
-                continue
-            src = code[sel]
-            dst = src + (ap - a) * powers[j] + (bp - b) * powers[jp]
-            rows.append(src)
-            cols.append(dst)
-    rows = np.concatenate(rows) if rows else np.array([], dtype=np.int64)
-    cols = np.concatenate(cols) if cols else np.array([], dtype=np.int64)
-    graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(total, total))
-    ncomp, labels_cc = connected_components(graph, directed=True, connection="strong")
+    confs = configurations(model, n, 4 ** 8)
+    src, dst, _ = transitions(confs, model.r + model.s)
+    total = len(confs)
+    graph = csr_matrix((np.ones(len(src)), (src, dst)), shape=(total, total))
+    _, labels_cc = connected_components(graph, directed=True, connection="strong")
     # irreducible iff strong components coincide with the (N,Z) level sets
-    bad = 0
-    for key in np.unique(keys):
-        members = np.nonzero(keys == key)[0]
-        if len(np.unique(labels_cc[members])) > 1:
-            bad += 1
+    _, level = np.unique(np.column_stack(level_totals(model, confs)), axis=0,
+                         return_inverse=True)
+    pairs = np.unique(np.column_stack([level, labels_cc]), axis=0)
+    bad = int(np.count_nonzero(np.bincount(pairs[:, 0]) > 1))
     res = ConditionResult(bad == 0, float(bad), 0.0,
                           detail=f"{bad} disconnected level sets" if bad else
                           f"all level sets strongly connected at n={n}")

@@ -28,7 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .thermo import DomainPolygon, OutOfDomain, invert_parameters_grid
+# TooLarge is re-exported: callers catch it as sim.TooLarge
+from .models import TooLarge, configurations, transitions
+from .thermo import (DomainPolygon, OutOfDomain, gibbs_measure,
+                     invert_parameters_grid, tilted)
 
 
 _EVENT_CHUNK = 20_000_000
@@ -156,12 +159,7 @@ def sample_local_equilibrium(model, rho_profile, u_profile, n, plan, seed,
             f"scaled profile leaves the domain at site {bad}: "
             f"({rho_vals[bad]:.4g}, {u_vals[bad]:.4g})")
     tau, theta, _ = invert_parameters_grid(model, rho_vals, u_vals)
-    logits = (tau[:, None] * model.eta[None, :]
-              + theta[:, None] * model.zeta[None, :]
-              + np.log(model.pi)[None, :])
-    logits -= logits.max(axis=1, keepdims=True)
-    p = np.exp(logits)
-    p /= p.sum(axis=1, keepdims=True)
+    p, _, _ = tilted(model, tau, theta)
     rng = philox_stream(seed, stream)
     cum = np.cumsum(p, axis=1)
     draws = rng.random(n)
@@ -410,48 +408,25 @@ def simulate(state, model, plan, t_end, observe_at=(), observer=None,
 # explicit generators at tiny size
 
 
-class TooLarge(ValueError):
-    pass
+_MAX_STATES = 4096
 
 
 def generator_matrix(model, n, part="L"):
     """Dense generator of the chosen part on the full configuration space."""
-    k = model.nstates
-    total = k ** n
-    if total > 4096:
-        raise TooLarge(f"{k}^{n} = {total} exceeds 4096 states")
-    rates = model.r if part == "L" else model.s
+    confs = configurations(model, n, _MAX_STATES)
     if part not in ("L", "K"):
         raise ValueError("part must be 'L' or 'K'")
-    powers = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    confs = np.array(np.unravel_index(np.arange(total), (k,) * n)).T
-    G = np.zeros((total, total))
-    for a in range(k):
-        for b in range(k):
-            for ap in range(k):
-                for bp in range(k):
-                    w = rates[a, b, ap, bp]
-                    if w <= 0:
-                        continue
-                    for j in range(n):
-                        jp = (j + 1) % n
-                        sel = (confs[:, j] == a) & (confs[:, jp] == b)
-                        src = np.nonzero(sel)[0]
-                        dst = src + (ap - a) * powers[j] + (bp - b) * powers[jp]
-                        G[src, dst] += w
-                        G[src, src] -= w
+    src, dst, w = transitions(confs, model.r if part == "L" else model.s)
+    G = np.zeros((len(confs), len(confs)))
+    np.add.at(G, (src, dst), w)
+    np.add.at(G, (src, src), -w)
     return G
 
 
 def product_measure_vector(model, n, tau, theta):
     """Stationary product weights pi^n_{tau,theta} on the configuration space."""
-    from .thermo import gibbs_measure
-
     p1 = gibbs_measure(model, tau, theta)
-    k = model.nstates
-    total = k ** n
-    confs = np.array(np.unravel_index(np.arange(total), (k,) * n)).T
-    return np.prod(p1[confs], axis=1)
+    return np.prod(p1[configurations(model, n, _MAX_STATES)], axis=1)
 
 
 # ---------------------------------------------------------------------------

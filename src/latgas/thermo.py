@@ -19,18 +19,31 @@ class NonConvergence(RuntimeError):
     pass
 
 
+def tilted(model, tau, theta):
+    """Tilted single-site measure pi_{tau,theta} at every (tau, theta).
+
+    Returns ``(p, xm, Z)`` with ``p`` of shape ``(..., k)``; the log moment
+    generating function is ``G = xm + log(Z)``.
+    """
+    pi = model.pi
+    logpi = np.log(pi, where=pi > 0, out=np.full(model.nstates, -np.inf))
+    x = (np.asarray(tau, dtype=float)[..., None] * model.eta
+         + np.asarray(theta, dtype=float)[..., None] * model.zeta + logpi)
+    xm = x.max(axis=-1, keepdims=True)
+    w = np.exp(x - xm)
+    Z = w.sum(axis=-1)
+    return w / Z[..., None], xm[..., 0], Z
+
+
 def log_mgf(model, tau, theta):
     """G(tau, theta) = log sum_w exp(tau*eta + theta*zeta) pi(w)."""
-    x = tau * model.eta + theta * model.zeta + np.log(model.pi, where=model.pi > 0,
-                                                     out=np.full(model.nstates, -np.inf))
-    xm = np.max(x)
-    return xm + np.log(np.sum(np.exp(x - xm)))
+    _, xm, Z = tilted(model, tau, theta)
+    return xm + np.log(Z)
 
 
 def gibbs_measure(model, tau, theta):
     """Single-site tilted probability vector pi_{tau,theta}."""
-    g = log_mgf(model, tau, theta)
-    return model.pi * np.exp(tau * model.eta + theta * model.zeta - g)
+    return tilted(model, tau, theta)[0]
 
 
 def moments(model, tau, theta):
@@ -110,15 +123,10 @@ def invert_parameters_grid(model, rho, u, tol=1e-12, max_iter=100):
     npts = rho_f.size
     tau = np.zeros(npts)
     theta = np.zeros(npts)
-    eta, zeta, pi = model.eta, model.zeta, model.pi
-    logpi = np.log(pi, where=pi > 0, out=np.full(model.nstates, -np.inf))
+    eta, zeta = model.eta, model.zeta
     ok = np.zeros(npts, dtype=bool)
     for _ in range(max_iter):
-        x = tau[:, None] * eta[None, :] + theta[:, None] * zeta[None, :] + logpi
-        xm = x.max(axis=1, keepdims=True)
-        w = np.exp(x - xm)
-        Z = w.sum(axis=1)
-        p = w / Z[:, None]
+        p, xm, Z = tilted(model, tau, theta)
         m_rho = p @ eta
         m_u = p @ zeta
         f1 = m_rho - rho_f
@@ -143,18 +151,9 @@ def invert_parameters_grid(model, rho, u, tol=1e-12, max_iter=100):
         bad = int(np.argmax(~ok))
         raise NonConvergence(
             f"Newton failed at (rho,u)=({rho_f[bad]:.6g},{u_f[bad]:.6g})")
-    G = np.array([log_mgf(model, t, th) for t, th in zip(tau, theta)]) \
-        if npts <= 64 else _log_mgf_vec(model, tau, theta)
+    # the last iteration tilted at the returned (tau, theta)
+    G = xm + np.log(Z)
     return tau.reshape(shape), theta.reshape(shape), G.reshape(shape)
-
-
-def _log_mgf_vec(model, tau, theta):
-    x = (np.asarray(tau)[:, None] * model.eta[None, :]
-         + np.asarray(theta)[:, None] * model.zeta[None, :]
-         + np.log(model.pi, where=model.pi > 0,
-                  out=np.full(model.nstates, -np.inf)))
-    xm = x.max(axis=1)
-    return xm + np.log(np.exp(x - xm[:, None]).sum(axis=1))
 
 
 def invert_parameters(model, rho, u, domain=None, tol=1e-12, max_iter=100):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from latgas.entropy import (CharGeometry, D1, D2, D3, EntropyCoefficients,
                             InterpolatedCoefficients, SingularStart,
                             _march_system, build_entropy,
-                            characteristic_curve, classify, cutoff_profile,
+                            characteristic_curve, cutoff_profile,
                             d1_4, d2_4, max_box_in_d1, verify_bounds)
 from latgas.pde import (LimitFlux, ModelFluxView, ScaledFluxView,
                         riemann_invariants)

@@ -5,6 +5,7 @@ from latgas.harness import (ExperimentConfig, TooLarge, _sample_blocks,
                             microcanonical_moment_check, run_eulerian,
                             run_intermediate, tail_checks)
 from latgas.sim import ScalingPlan
+from latgas.thermo import DomainPolygon
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +144,17 @@ def test_moment_centered_variant(pm1):
     rep = microcanonical_moment_check(pm1, 6, centered=True)
     assert np.isfinite(rep.C)
     assert rep.C < 1.0
+
+
+def test_xi_expectation_exact_inside(pm1, pm1_flux):
+    """Interior centering points are evaluated where they are; only points
+    on the boundary are pulled inside."""
+    from latgas.harness import _xi_expectation
+    R = np.array([0.2, 0.5, 0.3, 0.1, 0.6])
+    U = np.array([0.1, -0.3, 0.05, 0.0, 0.25])
+    assert DomainPolygon.from_model(pm1).contains(R, U, margin=1e-2).all()
+    got = _xi_expectation(pm1, "psi", R, U)
+    assert np.max(np.abs(got - pm1_flux.Psi(R, U))) < 1e-12
 
 
 def test_moment_too_large(two_lane):

@@ -1,8 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from latgas.models import (ModelError, build_model, model_from_config,
-                           validate_conditions, microscopic_fluxes)
+import latgas.harness
+import latgas.sim
+from latgas.models import (ModelError, TooLarge, build_model,
+                           model_from_config, validate_conditions,
+                           microscopic_fluxes)
 
 
 def test_pm1_structure(pm1):
@@ -38,6 +43,19 @@ def test_conditions_pass_builtin(pm1, two_lane):
 def test_irreducibility_block6(pm1, two_lane):
     assert validate_conditions(pm1, block_len=6).irreducibility.passed
     assert validate_conditions(two_lane, block_len=6).irreducibility.passed
+
+
+def test_irreducibility_check_can_fail(pm1):
+    """Without jumps every configuration is its own class, so each level set
+    holding more than one configuration is disconnected."""
+    frozen = dataclasses.replace(pm1, r=np.zeros_like(pm1.r),
+                                 s=np.zeros_like(pm1.s))
+    res = validate_conditions(frozen, block_len=4).irreducibility
+    assert not res.passed
+    assert (res.residual, res.detail) == (12.0, "12 disconnected level sets")
+    # one enumeration limit error, whichever module raises it
+    assert latgas.sim.TooLarge is latgas.harness.TooLarge is TooLarge
+    assert issubclass(TooLarge, ModelError)
 
 
 def test_mutated_rate_breaks_stationarity(pm1):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from latgas import sim
+from latgas import build_model, sim
 from latgas.sim import (LatticeState, ScalingPlan, TooLarge, block_average,
                         dump_state, empirical_fields, generator_matrix,
                         load_state, philox_stream, product_measure_vector,
@@ -105,6 +105,28 @@ def test_conservation_and_reproducibility(pm1):
     st3 = sample_local_equilibrium(pm1, rho0, u0, 512, plan, seed=22)
     simulate(st3, pm1, plan, 0.05)
     assert st3.trajectory_hash != runs[0].trajectory_hash
+
+
+@pytest.mark.parametrize("spec, gamma, plan, t_end, first, last, events", [
+    ("pm1", None, ScalingPlan(delta=0.25), 0.05,
+     "e62f9c5a2c60d49b71eab7462c9178fd", "28ebdcd3f5540b74ea9295853363dc8f",
+     88_262),
+    ("two-lane", 1.25, ScalingPlan("intermediate", beta=0.1, delta=0.25), 0.03,
+     "8a106447523e08a8a9becb975504ef03", "7bdef0964efc310275b88e7313f97df7",
+     113_493),
+], ids=["pm1", "two_lane"])
+def test_trajectory_hashes_pinned(spec, gamma, plan, t_end, first, last,
+                                  events):
+    """Fixed seeds reproduce the recorded trajectories; a change to the
+    site draws, the draw order or the event engine moves these hashes."""
+    model = build_model(spec, gamma=gamma)
+    st = sample_local_equilibrium(model,
+                                  lambda x: 0.5 + 0.1 * np.sin(2 * np.pi * x),
+                                  lambda x: 0.1 * np.cos(2 * np.pi * x),
+                                  512, plan, seed=21)
+    assert st.trajectory_hash == first
+    simulate(st, model, plan, t_end)
+    assert (st.trajectory_hash, st.events) == (last, events)
 
 
 def test_law_exactness_tiny_system(pm1):
