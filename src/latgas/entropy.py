@@ -16,7 +16,9 @@ differencing S.
 
 from __future__ import annotations
 
+import bisect
 import csv
+import ctypes
 import time
 from dataclasses import dataclass, field
 
@@ -24,6 +26,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import PchipInterpolator
 
+from . import native
 from .pde import LimitFlux, riemann_invariants, wave_speeds
 
 
@@ -77,21 +80,26 @@ def tabulated_slope(flux, rho_max, u_max, n_rho=500, n_u=128):
 
     Model-backed fluxes need a tilt solve per evaluation; tabulating once
     makes curve integration cheap.  Evaluations outside the box clamp to it.
+    The lookup is scalar and takes the cell and weights as scipy's
+    ``RegularGridInterpolator`` (linear) does, so it gives the same values.
     """
-    from scipy.interpolate import RegularGridInterpolator
-
     rho = np.linspace(0.0, rho_max, n_rho)
     uu = np.linspace(-u_max, u_max, n_u)
     RR, UU = np.meshgrid(rho, uu, indexing="ij")
     vals = np.asarray(char_slope(flux, RR.ravel(), UU.ravel()),
-                      dtype=float).reshape(RR.shape)
-    itp = RegularGridInterpolator((rho, uu), vals, bounds_error=False,
-                                  fill_value=None)
+                      dtype=float).reshape(RR.shape).tolist()
+    rho, uu = rho.tolist(), uu.tolist()
+
+    def cell(grid, x):
+        i = min(max(bisect.bisect_right(grid, x) - 1, 0), len(grid) - 2)
+        return i, (x - grid[i]) / (grid[i + 1] - grid[i])
 
     def slope(rr, u):
-        rr = min(max(rr, 0.0), rho_max)
-        u = min(max(u, -u_max), u_max)
-        return float(itp((rr, u)))
+        i, y0 = cell(rho, min(max(rr, 0.0), rho_max))
+        j, y1 = cell(uu, min(max(u, -u_max), u_max))
+        lo, hi = vals[i], vals[i + 1]
+        return (lo[j] * (1 - y0) * (1 - y1) + lo[j + 1] * (1 - y0) * y1
+                + hi[j] * y0 * (1 - y1) + hi[j + 1] * y0 * y1)
 
     return slope
 
@@ -487,6 +495,228 @@ class InterpolatedCoefficients:
 # the u-marching solver
 
 
+def _numpy_stepper(state, nf, h, damp, partner, pin_rows, pin_vals):
+    """The numpy RK4 step on ``state``: the reference for the compiled one,
+    and the fallback without a C compiler."""
+    pin_cells = pin_vals.shape[1]
+
+    def apply_pin(x):
+        x[pin_rows, -pin_cells:] = pin_vals
+        return x
+
+    def rhs(x, rows):
+        # f' = g, g' = (pu f_rr + gap g_r + A f_r + B g + G f
+        #               + src f[partner]) / fr, plus the damping on every row
+        (pu, gap, inv_fr), (A, B, G, src) = rows
+        f, g = x[:nf], x[nf:]
+        f_r, g_r = np.split(d1_4(x, h), 2)
+        dx = np.concatenate([g, (pu * d2_4(f, h) + gap * g_r
+                                 + (A * f_r + B * g + G * f)
+                                 + src * f[partner]) * inv_fr])
+        if damp:
+            dx[..., 3:-3] += damp * _hyper6(x)
+        return dx
+
+    def step(du, r0, rh, r1):
+        k1 = rhs(state, r0)
+        k2 = rhs(apply_pin(state + du / 2 * k1), rh)
+        k3 = rhs(apply_pin(state + du / 2 * k2), rh)
+        k4 = rhs(apply_pin(state + du * k3), r1)
+        state[...] = apply_pin(state + du / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
+
+    return step
+
+
+# One RK4 step of the march, in place on the stacked state.  Every value is
+# formed by the same operations in the same order as _numpy_stepper, except
+# that the one-sided edge rows sum their six products left to right where
+# numpy's matrix product may round differently in the last bit.  Built
+# without FMA contraction so the result does not depend on the compiler;
+# vectorizing the element-wise loops (-O3) leaves every value unchanged.
+_STEP_SOURCE = r"""
+#include <stdint.h>
+
+/* Interior stencils of d1_4, d2_4 and _hyper6 at cell j of row f */
+#define D1(f, j) (((f)[(j) - 2] - 8.0 * (f)[(j) - 1] + 8.0 * (f)[(j) + 1] \
+                   - (f)[(j) + 2]) / c[1])
+#define D2(f, j) ((-(f)[(j) - 2] + 16.0 * (f)[(j) - 1] - 30.0 * (f)[j] \
+                   + 16.0 * (f)[(j) + 1] - (f)[(j) + 2]) / c[3])
+#define H6(f, j) ((f)[(j) - 3] - 6.0 * (f)[(j) - 2] + 15.0 * (f)[(j) - 1] \
+                  - 20.0 * (f)[j] + 15.0 * (f)[(j) + 1] - 6.0 * (f)[(j) + 2] \
+                  + (f)[(j) + 3])
+
+/* derivative of order d (1 or 2) at cell j of row f, one-sided rows within
+   two cells of an edge; c: h, 12 h, h^2, 12 h^2, damp; w: the (6, 2) left
+   and right edge weights of the first, then of the second derivative */
+static double deriv(const double *f, int64_t j, int64_t n, int d,
+                    const double *c, const double *w)
+{
+    if (j >= 2 && j < n - 2)
+        return d == 1 ? D1(f, j) : D2(f, j);
+    const double *row = j < 2 ? f : f + n - 6;
+    int64_t q = j < 2 ? j : j - (n - 2);
+    w += (d - 1) * 24 + (j < 2 ? 0 : 12);
+    double s = 0.0;
+    for (int k = 0; k < 6; k++)
+        s += row[k] * w[2 * k + q];
+    return s / (d == 1 ? c[0] : c[2]);
+}
+
+static void rhs(const double *restrict x, double *restrict dx, int64_t nf,
+                int64_t n, const double *c, const double *w,
+                const double *restrict main, const double *restrict low,
+                const int64_t *partner)
+{
+    const double *pu = main, *gap = main + n, *inv_fr = main + 2 * n;
+    double damp = c[4];
+    for (int64_t i = 0; i < nf; i++) {
+        const double *f = x + i * n, *g = x + (nf + i) * n;
+        const double *fp = x + partner[i] * n;
+        const double *A = low + i * n, *B = low + (nf + i) * n;
+        const double *G = low + (2 * nf + i) * n;
+        const double *src = low + (3 * nf + i) * n;
+        double *df = dx + i * n, *dg = dx + (nf + i) * n;
+        for (int64_t j = 0; j < n; j++) {
+            if (j == 3 && n > 6)
+                j = n - 3;          /* the interior runs below */
+            df[j] = g[j];
+            dg[j] = (pu[j] * deriv(f, j, n, 2, c, w)
+                     + gap[j] * deriv(g, j, n, 1, c, w)
+                     + (A[j] * deriv(f, j, n, 1, c, w) + B[j] * g[j]
+                        + G[j] * f[j])
+                     + src[j] * fp[j]) * inv_fr[j];
+        }
+        if (damp != 0.0)
+            for (int64_t j = 3; j < n - 3; j++) {
+                df[j] = g[j] + damp * H6(f, j);
+                dg[j] = (pu[j] * D2(f, j) + gap[j] * D1(g, j)
+                         + (A[j] * D1(f, j) + B[j] * g[j] + G[j] * f[j])
+                         + src[j] * fp[j]) * inv_fr[j] + damp * H6(g, j);
+            }
+        else
+            for (int64_t j = 3; j < n - 3; j++) {
+                df[j] = g[j];
+                dg[j] = (pu[j] * D2(f, j) + gap[j] * D1(g, j)
+                         + (A[j] * D1(f, j) + B[j] * g[j] + G[j] * f[j])
+                         + src[j] * fp[j]) * inv_fr[j];
+            }
+    }
+}
+
+static void pin(double *x, int64_t n, const int64_t *rows, int64_t npin,
+                int64_t cells, const double *vals)
+{
+    for (int64_t p = 0; p < npin; p++)
+        for (int64_t j = 0; j < cells; j++)
+            x[rows[p] * n + n - cells + j] = vals[p * cells + j];
+}
+
+/* work holds 3 (2 nf, n) arrays; main* are the (3, n) rows pu, gap, 1/fr
+   and low* the (4, nf, n) rows A, B, G, src at u, u + du/2 and u + du */
+void rk4_step(double *state, double *work, int64_t nf, int64_t n,
+              const double *c, const double *w, const int64_t *partner,
+              const int64_t *pin_rows, int64_t npin, int64_t pin_cells,
+              const double *pin_vals, double du, const double *main0,
+              const double *low0, const double *mainh, const double *lowh,
+              const double *main1, const double *low1)
+{
+    int64_t size = 2 * nf * n;
+    double *restrict k = work, *restrict acc = work + size;
+    double *restrict stage = work + 2 * size;
+    double half = du / 2, sixth = du / 6;
+
+    rhs(state, k, nf, n, c, w, main0, low0, partner);
+    for (int64_t e = 0; e < size; e++) {
+        acc[e] = k[e];
+        stage[e] = state[e] + half * k[e];
+    }
+    pin(stage, n, pin_rows, npin, pin_cells, pin_vals);
+    rhs(stage, k, nf, n, c, w, mainh, lowh, partner);
+    for (int64_t e = 0; e < size; e++) {
+        acc[e] = acc[e] + 2.0 * k[e];
+        stage[e] = state[e] + half * k[e];
+    }
+    pin(stage, n, pin_rows, npin, pin_cells, pin_vals);
+    rhs(stage, k, nf, n, c, w, mainh, lowh, partner);
+    for (int64_t e = 0; e < size; e++) {
+        acc[e] = acc[e] + 2.0 * k[e];
+        stage[e] = state[e] + du * k[e];
+    }
+    pin(stage, n, pin_rows, npin, pin_cells, pin_vals);
+    rhs(stage, k, nf, n, c, w, main1, low1, partner);
+    for (int64_t e = 0; e < size; e++)
+        state[e] = state[e] + sixth * (acc[e] + k[e]);
+    pin(state, n, pin_rows, npin, pin_cells, pin_vals);
+}
+"""
+_STEP_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+
+_kernel = None       # resolved on first use by _resolve_kernel
+
+
+def _load_c_stepper():
+    """A stepper factory around the compiled RK4 step; None when there is no
+    compiler or the build fails."""
+    lib = native.load("march", _STEP_SOURCE, _STEP_FLAGS)
+    if lib is None:
+        return None
+    fn = lib.rk4_step
+    i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    fn.argtypes = ([ptr, ptr, i64, i64, ptr, ptr, ptr, ptr, i64, i64, ptr, dbl]
+                   + [ptr] * 6)
+    fn.restype = None
+    weights = np.concatenate([_D1_LEFT, _D1_RIGHT, _D2_LEFT, _D2_RIGHT],
+                             axis=None)
+
+    def c_stepper(state, nf, h, damp, partner, pin_rows, pin_vals):
+        n = state.shape[-1]
+        n_pin, pin_cells = pin_vals.shape
+        partner = np.ascontiguousarray(partner, dtype=np.int64)
+        pin_rows = np.ascontiguousarray(pin_rows, dtype=np.int64)
+        pin_vals = np.ascontiguousarray(pin_vals, dtype=float)
+        if not (state.dtype == np.float64 and state.flags.c_contiguous
+                and state.flags.writeable and state.shape == (2 * nf, n)
+                and n >= 6):
+            raise ValueError(f"march state must be a writeable C-contiguous "
+                             f"float64 array of shape ({2 * nf}, n >= 6)")
+        if not (partner.shape == (nf,) and np.all(partner >= 0)
+                and np.all(partner < nf)):
+            raise ValueError(f"partner rows must lie in 0..{nf - 1}")
+        if not (pin_rows.shape == (n_pin,) and pin_cells <= n
+                and np.all(pin_rows >= 0) and np.all(pin_rows < 2 * nf)):
+            raise ValueError(f"pinned rows must lie in 0..{2 * nf - 1} and "
+                             f"pin at most {n} cells")
+        consts = np.array([h, 12 * h, h ** 2, 12 * h ** 2, damp])
+        work = np.empty(3 * state.size)
+        head = (state.ctypes.data, work.ctypes.data, nf, n,
+                consts.ctypes.data, weights.ctypes.data, partner.ctypes.data,
+                pin_rows.ctypes.data, n_pin, pin_cells, pin_vals.ctypes.data)
+
+        def step(du, r0, rh, r1):
+            # the rows come from _march_system's rows(): (3, n) and
+            # (4, nf, n) C-contiguous float64 by construction
+            fn(*head, du, *(a.ctypes.data for rows in (r0, rh, r1)
+                            for a in rows))
+
+        # the kernel holds their addresses: keep them alive with the step
+        step.arrays = (state, work, consts, partner, pin_rows, pin_vals)
+        return step
+
+    return c_stepper
+
+
+def _resolve_kernel():
+    global _kernel
+    if _kernel is None:
+        _kernel = _load_c_stepper() or _numpy_stepper
+    return _kernel
+
+
+def march_kernel():
+    """Which RK4 step ``_march_system`` runs: ``"c"`` or ``"python"``."""
+    return "python" if _resolve_kernel() is _numpy_stepper else "c"
+
+
 def _march_system(coeffs, fields0, u_levels, cfl=0.25, hyper=0.3,
                   speed_cap=None, pin_right=None, pin_cells=4, stats=None):
     """March the coupled Cauchy problems upward in u, storing each level.
@@ -496,8 +726,10 @@ def _march_system(coeffs, fields0, u_levels, cfl=0.25, hyper=0.3,
     through the right edge of the strip; ``pin_right`` supplies the exact
     (f, g) values there (the deep-D2 closed forms), which are re-imposed on
     the outermost ``pin_cells`` cells at every stage.  All fields march as
-    one (2 nf, n_rho) array, f rows then g rows; ``stats``, if given,
-    receives the step count, the march seconds and the coefficient seconds.
+    one (2 nf, n_rho) array, f rows then g rows, and each RK4 step runs in
+    the compiled kernel when a C compiler works, in numpy otherwise;
+    ``stats``, if given, receives the step count, the march seconds, the
+    coefficient seconds and which step kernel ran.
     """
     rho = coeffs.rho
     h = rho[1] - rho[0]
@@ -509,13 +741,10 @@ def _march_system(coeffs, fields0, u_levels, cfl=0.25, hyper=0.3,
     levels[0] = state
 
     pin = [k for k in names if k in (pin_right or {})]
-    pin_rows = [names.index(k) + j * nf for j in (0, 1) for k in pin]
+    pin_rows = np.array([names.index(k) + j * nf for j in (0, 1)
+                         for k in pin], dtype=np.int64)
     pin_vals = np.array([pin_right[k][j][-pin_cells:] for j in (0, 1)
                          for k in pin]).reshape(len(pin_rows), pin_cells)
-
-    def apply_pin(x):
-        x[pin_rows, -pin_cells:] = pin_vals
-        return x
 
     # row of the f field each equation's source term multiplies
     partner = np.arange(nf)
@@ -523,45 +752,38 @@ def _march_system(coeffs, fields0, u_levels, cfl=0.25, hyper=0.3,
         i, j = names.index("S_rr"), names.index("S_ru")
         partner[i], partner[j] = j, i
 
-    def lower(u):   # stacked (A, B, G, source) rows
+    def lower(u):   # stacked (A, B, G, source) rows, shape (4, nf, n_rho)
         zero = np.zeros_like(rho)
-        return tuple(np.array(c) for c in zip(*(
-            (coeffs.lower_order(k, u) if k != "S" else (zero,) * 3)
-            + (coeffs.source_coeff(k, u) if partner[i] != i else zero,)
-            for i, k in enumerate(names))))
+        low = np.empty((4, nf, rho.size))
+        for i, k in enumerate(names):
+            low[:3, i] = (coeffs.lower_order(k, u) if k != "S"
+                          else (zero,) * 3)
+            low[3, i] = coeffs.source_coeff(k, u) if partner[i] != i else zero
+        return low
 
     # the limit fluxes' lower-order rows do not depend on u
     fixed = lower(0.0) if coeffs.is_limit else None
     cache = {}
     coeff_s = 0.0
 
-    def rows(u):
+    def rows(u):    # ((pu, gap, 1/fr) as (3, n_rho), lower-order rows)
         nonlocal coeff_s
         key = round(float(u), 14)
         if key not in cache:
             t0 = time.perf_counter()
             pu, gap, fr = coeffs.main(u)
+            main = np.empty((3, rho.size))
+            main[0], main[1], main[2] = pu, gap, 1.0 / fr
             if len(cache) > 16:
                 cache.clear()
-            cache[key] = (pu, gap, 1.0 / fr) + (lower(u) if fixed is None
-                                                else fixed)
+            cache[key] = (main, lower(u) if fixed is None else fixed)
             coeff_s += time.perf_counter() - t0
         return cache[key]
 
     # the 6th-difference kernel is negative semidefinite, so adding it
     # damps grid-scale modes at rate ~ hyper/h
     damp = hyper / h * 0.015625  # / 64
-
-    def rhs(u, x):
-        pu, gap, inv_fr, A, B, G, src = rows(u)
-        f, g = x[:nf], x[nf:]
-        f_r, g_r = np.split(d1_4(x, h), 2)
-        dx = np.concatenate([g, (pu * d2_4(f, h) + gap * g_r
-                                 + (A * f_r + B * g + G * f)
-                                 + src * f[partner]) * inv_fr])
-        if hyper:
-            dx[..., 3:-3] += damp * _hyper6(x)
-        return dx
+    step = _resolve_kernel()(state, nf, h, damp, partner, pin_rows, pin_vals)
 
     if speed_cap is None:
         # conservative speed estimate over the strip
@@ -576,17 +798,14 @@ def _march_system(coeffs, fields0, u_levels, cfl=0.25, hyper=0.3,
         target = float(target)
         while u < target - 1e-14:
             du = min(cfl * h / speed_cap, target - u)
-            k1 = rhs(u, state)
-            k2 = rhs(u + du / 2, apply_pin(state + du / 2 * k1))
-            k3 = rhs(u + du / 2, apply_pin(state + du / 2 * k2))
-            k4 = rhs(u + du, apply_pin(state + du * k3))
-            state = apply_pin(state + du / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
+            step(du, rows(u), rows(u + du / 2), rows(u + du))
             u += du
             steps += 1
         levels[lev] = state
     if stats is not None:
         stats.update(march_steps=steps, coefficient_s=coeff_s,
-                     march_s=time.perf_counter() - t_start)
+                     march_s=time.perf_counter() - t_start,
+                     march_kernel=march_kernel())
     return ({k: levels[:, i] for i, k in enumerate(names)},
             {k: levels[:, nf + i] for i, k in enumerate(names)})
 

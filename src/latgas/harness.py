@@ -467,8 +467,8 @@ def _xi_expectation(model, xi, rho_vals, u_vals):
 
     psi, phi, psi_s, phi_s = microscopic_fluxes(model)
     tab = {"psi": psi, "phi": phi, "psi_s": psi_s, "phi_s": phi_s}[xi]
-    # evaluate exactly per unique query point (few thousand at most)
-    uniq, inv = np.unique(np.round(q, 10), axis=0, return_inverse=True)
+    # evaluate exactly per distinct query point (few thousand at most)
+    uniq, inv = np.unique(q, axis=0, return_inverse=True)
     tau, theta, _ = invert_parameters_grid(model, uniq[:, 0], uniq[:, 1])
     p, _, _ = tilted(model, tau, theta)
     vals = np.einsum("ia,ab,ib->i", p, tab, p)

@@ -1,0 +1,67 @@
+"""Build and load the package's small C kernels.
+
+Each kernel is one C source string compiled with the system C compiler into
+a shared library on first use.  The library is cached per user
+(``$XDG_CACHE_HOME/latgas``, else ``~/.cache/latgas``, else a private
+temporary directory) under a name tagged with a hash of the source and the
+flags, so an edited kernel is rebuilt and never mixed up with an old one.
+Callers keep an interpreted reference and fall back to it when ``load``
+returns None.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
+
+
+def _find_compiler():
+    return shutil.which("gcc") or shutil.which("cc")
+
+
+def _cache_dir():
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
+    path = os.path.join(base, "latgas")
+    try:
+        os.makedirs(path, exist_ok=True)
+        if os.access(path, os.W_OK):
+            return path
+    except OSError:
+        pass
+    path = os.path.join(tempfile.gettempdir(), f"latgas-{os.getuid()}")
+    os.makedirs(path, mode=0o700, exist_ok=True)
+    # a shared temporary directory: load nothing another user could plant
+    if os.stat(path).st_uid != os.getuid():
+        raise OSError(f"{path} is owned by another user")
+    return path
+
+
+def load(name, source, flags):
+    """The compiled library ``name`` as a ``ctypes.CDLL``, building it if it
+    is not cached yet; None when there is no compiler or the build fails."""
+    tag = hashlib.blake2b("\0".join((source,) + tuple(flags)).encode(),
+                          digest_size=8).hexdigest()
+    try:
+        cache = _cache_dir()
+        lib_path = os.path.join(cache, f"{name}-{tag}.so")
+        if not os.path.exists(lib_path):
+            cc = _find_compiler()
+            if cc is None:
+                return None
+            # build under a private name, then rename: concurrent workers
+            # each see either no library or a complete one
+            with tempfile.TemporaryDirectory(dir=cache) as tmp:
+                src = os.path.join(tmp, f"{name}.c")
+                with open(src, "w") as fh:
+                    fh.write(source)
+                out = os.path.join(tmp, f"{name}.so")
+                subprocess.run([cc, *flags, "-o", out, src],
+                               check=True, capture_output=True, timeout=120)
+                os.replace(out, lib_path)
+        return ctypes.CDLL(lib_path)
+    except (OSError, subprocess.SubprocessError):
+        return None

@@ -9,25 +9,21 @@ Philox streams so replicas are independent and trajectories replayable;
 snapshots store the stream state, so a restart continues the same trajectory.
 
 Candidate events are applied by a small C kernel, compiled with the system C
-compiler on first use and cached per user (``$XDG_CACHE_HOME/latgas``, else
-``~/.cache/latgas``, else a private temporary directory).  Without a working
-compiler the interpreted reference loop runs instead; both give identical
-trajectories, and ``event_kernel()`` reports which one is in use.
+compiler on first use and cached per user (see ``latgas.native``).  Without
+a working compiler the interpreted reference loop runs instead; both give
+identical trajectories, and ``event_kernel()`` reports which one is in use.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
-import os
-import shutil
 import struct
-import subprocess
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import native
 # TooLarge is re-exported: callers catch it as sim.TooLarge
 from .models import TooLarge, configurations, transitions
 from .thermo import (DomainPolygon, OutOfDomain, gibbs_measure,
@@ -230,53 +226,13 @@ def _apply_events_py(spins, bonds, us, cum, out_a, out_b, nchan, k):
     return accepted
 
 
-def _find_compiler():
-    return shutil.which("gcc") or shutil.which("cc")
-
-
-def _cache_dir():
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
-    path = os.path.join(base, "latgas")
-    try:
-        os.makedirs(path, exist_ok=True)
-        if os.access(path, os.W_OK):
-            return path
-    except OSError:
-        pass
-    path = os.path.join(tempfile.gettempdir(), f"latgas-{os.getuid()}")
-    os.makedirs(path, mode=0o700, exist_ok=True)
-    # a shared temporary directory: load nothing another user could plant
-    if os.stat(path).st_uid != os.getuid():
-        raise OSError(f"{path} is owned by another user")
-    return path
-
-
 def _load_c_kernel():
     """The compiled kernel's ctypes function, building it if it is not
     cached yet; None when there is no compiler or the build fails."""
-    tag = hashlib.blake2b(
-        "\0".join((_KERNEL_SOURCE,) + _KERNEL_FLAGS).encode(),
-        digest_size=8).hexdigest()
-    try:
-        cache = _cache_dir()
-        lib_path = os.path.join(cache, f"events-{tag}.so")
-        if not os.path.exists(lib_path):
-            cc = _find_compiler()
-            if cc is None:
-                return None
-            # build under a private name, then rename: concurrent workers
-            # each see either no library or a complete one
-            with tempfile.TemporaryDirectory(dir=cache) as tmp:
-                src = os.path.join(tmp, "events.c")
-                with open(src, "w") as fh:
-                    fh.write(_KERNEL_SOURCE)
-                out = os.path.join(tmp, "events.so")
-                subprocess.run([cc, *_KERNEL_FLAGS, "-o", out, src],
-                               check=True, capture_output=True, timeout=120)
-                os.replace(out, lib_path)
-        fn = ctypes.CDLL(lib_path).apply_events
-    except (OSError, subprocess.SubprocessError):
+    lib = native.load("events", _KERNEL_SOURCE, _KERNEL_FLAGS)
+    if lib is None:
         return None
+    fn = lib.apply_events
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     fn.argtypes = [ptr, i64, ptr, ptr, i64, ptr, ptr, ptr, i64, i64]
     fn.restype = i64

@@ -1,12 +1,18 @@
+import hashlib
+import shutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import latgas.entropy as ent
+from latgas import native
 from latgas.entropy import (CharGeometry, D1, D2, D3, EntropyCoefficients,
                             InterpolatedCoefficients, SingularStart,
-                            _march_system, build_entropy,
+                            _march_system, build_entropy, char_slope,
                             characteristic_curve, cutoff_profile,
-                            d1_4, d2_4, max_box_in_d1, verify_bounds)
+                            d1_4, d2_4, max_box_in_d1, tabulated_slope,
+                            verify_bounds)
 from latgas.pde import (LimitFlux, ModelFluxView, ScaledFluxView,
                         riemann_invariants)
 
@@ -111,23 +117,169 @@ def test_classify_cases():
     assert np.all((lab_big != D2) | (lab_small == D2))
 
 
-def test_march_reproduces_polynomial_entropy():
+def test_march_reproduces_polynomial_entropy(monkeypatch):
     # gamma = 1 has the exact entropy S = rho^2 + rho u^2 + u^4/6
     fl = LimitFlux(1.0)
     rho = np.linspace(0.0, 3.0, 301)
     u_levels = np.linspace(0.0, 0.6, 7)
     coeffs = EntropyCoefficients(fl, rho)
     UU, RR = np.meshgrid(u_levels, rho, indexing="ij")
-    pin = {"S": (rho ** 2, np.zeros_like(rho))}
-    out, _ = _march_system(coeffs, {"S": (rho ** 2, np.zeros_like(rho))},
-                           u_levels, hyper=0.5)
     exact = RR ** 2 + RR * UU ** 2 + UU ** 4 / 6.0
     cut = int((3.0 - 1.9 * 0.6 - 0.1) / 3.0 * 300)
-    assert np.max(np.abs(out["S"] - exact)[:, 5:cut]) < 1e-10
-    # and its rho-derivative under the kappa=1 equation
-    out, _ = _march_system(coeffs, {"S_rho": (2 * rho, np.zeros_like(rho))},
-                           u_levels, hyper=0.5)
-    assert np.max(np.abs(out["S_rho"] - (2 * RR + UU ** 2))[:, 5:cut]) < 1e-10
+    seen = []
+    # the compiled step (when a compiler works) and the numpy reference
+    for kernel in (ent._resolve_kernel(), ent._numpy_stepper):
+        monkeypatch.setattr(ent, "_kernel", kernel)
+        out, _ = _march_system(coeffs, {"S": (rho ** 2, np.zeros_like(rho))},
+                               u_levels, hyper=0.5)
+        assert np.max(np.abs(out["S"] - exact)[:, 5:cut]) < 1e-10
+        # and its rho-derivative under the kappa=1 equation
+        stats = {}
+        out, _ = _march_system(coeffs,
+                               {"S_rho": (2 * rho, np.zeros_like(rho))},
+                               u_levels, hyper=0.5, stats=stats)
+        assert np.max(np.abs(out["S_rho"] - (2 * RR + UU ** 2))
+                      [:, 5:cut]) < 1e-10
+        seen.append(stats["march_kernel"])
+    assert seen[1] == "python"
+
+
+@pytest.fixture
+def c_march():
+    if ent.march_kernel() != "c":
+        pytest.skip("no C compiler to build the march kernel")
+
+
+def _model_march(two_lane_flux):
+    """A five-field march on interpolated model-flux coefficients, with the
+    S_rr/S_ru source coupling and the right-edge pins."""
+    view = ScaledFluxView(ModelFluxView(two_lane_flux), 1000, 0.5)
+    rho = np.linspace(0.0, 12.0, 160)
+    coeffs = InterpolatedCoefficients(EntropyCoefficients(view, rho),
+                                      0.0, 0.5, nodes=7)
+    bump = np.exp(-(rho - 5.0) ** 2)
+    names = ("S", "S_rho", "S_u", "S_rr", "S_ru")
+    fields0 = {k: ((i + 1) * (bump + 0.05 * rho), (2 - i) * 0.1 * np.sin(rho))
+               for i, k in enumerate(names)}
+    pin = {k: (np.full_like(rho, 0.1 * i), np.zeros_like(rho))
+           for i, k in enumerate(names)}
+    stats = {}
+    f, g = _march_system(coeffs, fields0, np.linspace(0.0, 0.5, 6),
+                         pin_right=pin, stats=stats)
+    return f, g, stats
+
+
+def test_march_backends_agree(c_march, monkeypatch, two_lane_flux):
+    """The compiled RK4 step reproduces the numpy reference: one step on
+    random rows with free edges, a limit-flux table and a model-flux march
+    (sources, pins, lower-order rows)."""
+    rng = np.random.default_rng(7)
+    nf, n = 3, 40
+    rows = [(rng.uniform(0.5, 2.0, (3, n)), rng.normal(size=(4, nf, n)))
+            for _ in range(3)]
+    state0 = rng.normal(size=(2 * nf, n))
+    runs = []
+    for kernel in (ent._resolve_kernel(), ent._numpy_stepper):
+        monkeypatch.setattr(ent, "_kernel", kernel)
+        state = state0.copy()
+        # the pinned row is 4; every other row keeps both edges free
+        kernel(state, nf, 0.1, 0.3, np.array([0, 2, 1]), np.array([4]),
+               np.full((1, 4), 0.5))(1e-3, *rows)
+        tab = build_entropy(LimitFlux(2.0), 0.5, 0.5 * np.exp(4.0),
+                            u_max=0.8, n_rho=400, n_u=30)
+        f, g, stats = _model_march(two_lane_flux)
+        fields = [getattr(tab, k) for k in ("S", "F", "S_rho", "S_u", "S_rr",
+                                            "S_ru", "S_uu")]
+        runs.append((tab.diagnostics["march_kernel"], stats["march_kernel"],
+                     [state] + fields + list(f.values()) + list(g.values()),
+                     tab.labels))
+    (kc, mc, fc, lab_c), (kp, mp, fp, lab_p) = runs
+    assert (kc, mc, kp, mp) == ("c", "c", "python", "python")
+    assert np.array_equal(lab_c, lab_p)
+    for a, b in zip(fc, fp):
+        assert np.max(np.abs(b)) > 0
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def test_compiled_step_rejects_bad_arguments(c_march):
+    make = ent._resolve_kernel()
+    state = np.zeros((4, 10))
+    pins = np.array([1, 3]), np.zeros((2, 4))
+    make(state, 2, 0.1, 0.5, np.array([0, 1]), *pins)
+    for bad in [dict(state=np.zeros((4, 10), dtype=np.float32)),
+                dict(state=np.zeros((4, 20))[:, ::2]),
+                dict(state=np.zeros((6, 10))),
+                dict(state=np.zeros((4, 5))),
+                dict(partner=np.array([0, 2])),
+                dict(partner=np.array([-1, 1])),
+                dict(pin_rows=np.array([1, 4])),
+                dict(pin_vals=np.zeros((2, 11)))]:
+        args = dict(state=state, partner=np.array([0, 1]), pin_rows=pins[0],
+                    pin_vals=pins[1]) | bad
+        with pytest.raises(ValueError):
+            make(args["state"], 2, 0.1, 0.5, args["partner"],
+                 args["pin_rows"], args["pin_vals"])
+
+
+@pytest.mark.parametrize("compiler", [None, "false"])
+def test_march_numpy_without_compiler(monkeypatch, tmp_path, two_lane_flux,
+                                      compiler):
+    """No compiler, or one that fails, leaves the numpy step in use."""
+    path = compiler and shutil.which(compiler)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(native, "_find_compiler", lambda: path)
+    monkeypatch.setattr(ent, "_kernel", None)
+    _, _, stats = _model_march(two_lane_flux)
+    assert stats["march_steps"] > 0 and stats["march_kernel"] == "python"
+    assert ent.march_kernel() == "python"
+    assert not list(tmp_path.rglob("*.so"))
+
+
+def test_tabulated_slope_matches_grid_interpolator(two_lane_flux):
+    from scipy.interpolate import RegularGridInterpolator
+
+    view = ScaledFluxView(ModelFluxView(two_lane_flux), 1000, 0.5)
+    rho_max, u_max, n_rho, n_u = 20.0, 1.2, 40, 16
+    slope = tabulated_slope(view, rho_max, u_max, n_rho=n_rho, n_u=n_u)
+    rho = np.linspace(0.0, rho_max, n_rho)
+    uu = np.linspace(-u_max, u_max, n_u)
+    RR, UU = np.meshgrid(rho, uu, indexing="ij")
+    vals = char_slope(view, RR.ravel(), UU.ravel()).reshape(RR.shape)
+    itp = RegularGridInterpolator((rho, uu), vals, bounds_error=False,
+                                  fill_value=None)
+    rng = np.random.default_rng(3)
+    # inside, outside (clamped to the box) and on the nodes and corners
+    pts = np.vstack([rng.uniform([-5.0, -2.0], [25.0, 2.0], size=(400, 2)),
+                     np.column_stack([rho[::3], uu[np.arange(14) % n_u]]),
+                     [[0.0, -u_max], [rho_max, u_max], [rho_max, -u_max]]])
+    assert np.any(pts[:, 0] > rho_max) and np.any(pts[:, 1] < -u_max)
+    for r, u in pts.tolist():
+        want = float(itp((min(max(r, 0.0), rho_max),
+                          min(max(u, -u_max), u_max))))
+        assert abs(slope(r, u) - want) <= 1e-13 * max(1.0, abs(want))
+
+
+def test_scaled_two_lane_table_pinned():
+    """The benchmark's scaled two-lane table: labels and the seven fitted
+    constants as computed with scipy's RegularGridInterpolator for the slope
+    field and the numpy march step."""
+    from latgas import build_model, macroscopic_flux
+
+    view = ModelFluxView(macroscopic_flux(build_model("two-lane",
+                                                      gamma=1.25)))
+    tab = build_entropy(view, 1.0, np.exp(4.0), n=1000, beta=0.5, u_max=1.5,
+                        n_rho=300, n_u=60)
+    labels = np.ascontiguousarray(tab.labels, dtype=np.int8).tobytes()
+    assert hashlib.sha256(labels).hexdigest() == (
+        "ef22fa516194078ea8e4ed117ceba214026c3e5ff498868602273c8968aebfb7")
+    pinned = {"S_rho-1D2": 0.9998572530530138, "S_u": 0.23514918617582686,
+              "S_rr": 1.899738364751383, "S_ru": 2.0776506222443945,
+              "S_uu": 1.5722128032074048, "F-PsiS_rho": 0.0124025641676511,
+              "1-S_rho": 1.0}
+    fits = verify_bounds(tab).fits
+    assert set(fits) == set(pinned)
+    for name, want in pinned.items():
+        assert abs(fits[name].constant - want) <= 1e-10 * abs(want)
 
 
 def test_fd_operators_exact_on_quartics():
@@ -225,6 +377,7 @@ def test_table_overlap_consistency(small_table):
     assert d["overlap_D2"] < 1e-5
     assert d["overlap_D2_Srho"] < 1e-4
     assert d["march_steps"] > 0 and d["march_s"] > 0
+    assert d["march_kernel"] == ent.march_kernel()
     assert 0 < d["coefficient_s"] < d["march_s"]
 
 

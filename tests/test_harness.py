@@ -147,14 +147,19 @@ def test_moment_centered_variant(pm1):
 
 
 def test_xi_expectation_exact_inside(pm1, pm1_flux):
-    """Interior centering points are evaluated where they are; only points
-    on the boundary are pulled inside."""
+    """Interior centering points are evaluated where they are, not rounded;
+    only points on the boundary are pulled inside."""
     from latgas.harness import _xi_expectation
-    R = np.array([0.2, 0.5, 0.3, 0.1, 0.6])
-    U = np.array([0.1, -0.3, 0.05, 0.0, 0.25])
-    assert DomainPolygon.from_model(pm1).contains(R, U, margin=1e-2).all()
+    dom = DomainPolygon.from_model(pm1)
+    rng = np.random.default_rng(5)
+    lo, hi = dom.vertices.min(axis=0), dom.vertices.max(axis=0)
+    pts = rng.uniform(lo, hi, size=(2000, 2))
+    pts = pts[dom.contains(pts[:, 0], pts[:, 1], margin=1e-2)][:200]
+    R = np.concatenate([[0.2, 0.5, 0.3, 0.1, 0.6], pts[:, 0]])
+    U = np.concatenate([[0.1, -0.3, 0.05, 0.0, 0.25], pts[:, 1]])
+    assert R.size == 205 and dom.contains(R, U, margin=1e-2).all()
     got = _xi_expectation(pm1, "psi", R, U)
-    assert np.max(np.abs(got - pm1_flux.Psi(R, U))) < 1e-12
+    assert np.max(np.abs(got - pm1_flux.Psi(R, U))) < 1e-13
 
 
 def test_moment_too_large(two_lane):

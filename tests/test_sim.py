@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from latgas import build_model, sim
+from latgas import build_model, native, sim
 from latgas.sim import (LatticeState, ScalingPlan, TooLarge, block_average,
                         dump_state, empirical_fields, generator_matrix,
                         load_state, philox_stream, product_measure_vector,
@@ -389,7 +389,7 @@ def test_python_fallback_without_compiler(monkeypatch, tmp_path, pm1,
     """No compiler, or one that fails, leaves the interpreted loop in use."""
     path = compiler and shutil.which(compiler)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    monkeypatch.setattr(sim, "_find_compiler", lambda: path)
+    monkeypatch.setattr(native, "_find_compiler", lambda: path)
     monkeypatch.setattr(sim, "_kernel", None)
     plan = ScalingPlan()
     st = sample_local_equilibrium(pm1, lambda x: 0.5 + 0 * x,
