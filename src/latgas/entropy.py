@@ -85,9 +85,10 @@ def tabulated_slope(flux, rho_max, u_max, n_rho=500, n_u=128):
     """
     rho = np.linspace(0.0, rho_max, n_rho)
     uu = np.linspace(-u_max, u_max, n_u)
-    RR, UU = np.meshgrid(rho, uu, indexing="ij")
-    vals = np.asarray(char_slope(flux, RR.ravel(), UU.ravel()),
-                      dtype=float).reshape(RR.shape).tolist()
+    vals = np.empty((n_rho, n_u))
+    for rows in _row_blocks(n_rho, n_u):
+        vals[rows] = char_slope(flux, rho[rows, None], uu)
+    vals = vals.tolist()
     rho, uu = rho.tolist(), uu.tolist()
 
     def cell(grid, x):
@@ -863,18 +864,19 @@ class EntropyTable:
         allowance, so refinement studies measure a fixed region.
         """
         ok = _erode(self.labels == D3, margin_cells)
-        RR, UU = self.meshgrid()
-        h_r = self.rho[1] - self.rho[0]
+        rho = self.rho
+        h_r = rho[1] - rho[0]
         h_u = self.u[1] - self.u[0]
-        au = np.abs(UU)
+        # the curves depend on u alone: one column, broadcast over rho
+        au = np.abs(self.u)[:, None]
         for r in (self.r_lo, self.r_hi):
             for branch in (-1.0, +1.0):
                 sig = self.geometry.sigma(branch * au, r)
-                slope = np.abs(np.gradient(sig, self.u[1] - self.u[0], axis=0))
+                slope = np.abs(np.gradient(sig, h_u, axis=0))
                 width = np.maximum(
                     singular_margin_cells * (h_r + slope * h_u),
                     kink_frac * (r + np.sqrt(r) * au))
-                ok &= np.abs(RR - sig) > width
+                ok &= np.abs(rho - sig) > width
             # the down-branch kink merges into rho = 0 at a corner where the
             # construction degenerates; exclude a fixed ball around it
             uu = np.linspace(0, self.u[-1], 400)
@@ -883,42 +885,55 @@ class EntropyTable:
             if hit.size:
                 u_merge = uu[hit[0]]
                 rad = 0.55 * np.sqrt(r)
-                ok &= (RR ** 2 + (au - u_merge) ** 2) > rad ** 2
+                ok &= (rho ** 2 + (au - u_merge) ** 2) > rad ** 2
         ok[:singular_margin_cells + 2, :] = False
         ok[-singular_margin_cells - 2:, :] = False
         ok[:, :margin_cells + 2] = False
         ok[:, -margin_cells - 2:] = False
         return ok
 
+    def _flux_rows(self):
+        """(rows, bundle) over blocks of u rows of the table's grid."""
+        for rows in _row_blocks(*self.S.shape):
+            yield rows, self.flux.bundle(self.rho, self.u[rows, None])
+
     def pde_residual(self):
         """Relative defect of the entropy equation measured by 4th-order
         differences of the stored S field."""
         h_r = self.rho[1] - self.rho[0]
         h_u = self.u[1] - self.u[0]
-        _, _, pr, pu, fr, fu = self.flux.bundle(*self.meshgrid())
-        gap = fu - pr
         S_rr = d2_4(self.S, h_r)
         S_uu = d2_4(self.S.T, h_u).T
         S_ru = d1_4(d1_4(self.S, h_r).T, h_u).T
-        res = pu * S_rr + gap * S_ru - fr * S_uu
-        scale = np.max(np.abs(pu * S_rr) + np.abs(gap * S_ru)
-                       + np.abs(fr * S_uu))
-        return res / max(scale, 1e-300)
+        res = np.empty_like(self.S)
+        scale = 0.0
+        for rows, (_, _, pr, pu, fr, fu) in self._flux_rows():
+            a = pu * S_rr[rows]
+            b = (fu - pr) * S_ru[rows]
+            c = fr * S_uu[rows]
+            res[rows] = a + b - c
+            scale = max(scale, np.max(np.abs(a) + np.abs(b) + np.abs(c)))
+        res /= max(scale, 1e-300)
+        return res
 
     def flux_compat_error(self):
         """Relative error of both entropy-flux relations on D3 interior."""
         h_r = self.rho[1] - self.rho[0]
         h_u = self.u[1] - self.u[0]
-        _, _, pr, pu, fr, fu = self.flux.bundle(*self.meshgrid())
         F_r = d1_4(self.F, h_r)
         F_u = d1_4(self.F.T, h_u).T
-        rhs_r = pr * self.S_rho + fr * self.S_u
-        rhs_u = pu * self.S_rho + fu * self.S_u
-        scale = max(np.max(np.abs(rhs_r)), np.max(np.abs(rhs_u)), 1e-300)
         mask = self.interior_mask()
-        err_r = np.abs(F_r - rhs_r)[mask] / scale
-        err_u = np.abs(F_u - rhs_u)[mask] / scale
-        return float(max(err_r.max(initial=0.0), err_u.max(initial=0.0)))
+        scale = err_r = err_u = 0.0
+        for rows, (_, _, pr, pu, fr, fu) in self._flux_rows():
+            S_rho, S_u, m = self.S_rho[rows], self.S_u[rows], mask[rows]
+            rhs_r = pr * S_rho + fr * S_u
+            rhs_u = pu * S_rho + fu * S_u
+            scale = max(scale, np.max(np.abs(rhs_r)), np.max(np.abs(rhs_u)))
+            # the largest error over the largest scale: division keeps order
+            err_r = max(err_r, np.abs(F_r[rows] - rhs_r)[m].max(initial=0.0))
+            err_u = max(err_u, np.abs(F_u[rows] - rhs_u)[m].max(initial=0.0))
+        scale = max(scale, 1e-300)
+        return float(max(err_r / scale, err_u / scale))
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -937,6 +952,18 @@ class EntropyTable:
                                  int(self.labels[i, j])])
 
 
+_BLOCK_CELLS = 1 << 14
+
+
+def _row_blocks(n_rows, n_cols):
+    """Slices of whole rows, about ``_BLOCK_CELLS`` cells each: the
+    full-grid passes over a table and the slope tabulation run block by
+    block so that their temporaries (a tilt solve's among them) stay
+    small."""
+    step = max(1, _BLOCK_CELLS // max(n_cols, 1))
+    return [slice(a, a + step) for a in range(0, n_rows, step)]
+
+
 def _erode(mask, cells):
     out = mask.copy()
     for sh in range(1, cells + 1):
@@ -953,10 +980,17 @@ def build_entropy(flux, r_lo, r_hi, n=None, beta=0.5, u_max=None, rho_max=None,
     When ``n`` is given the construction runs against the rescaled fluxes
     with exponent ``beta``; by scale invariance this is the finite-n cutoff
     entropy expressed in scaled variables, with the same initial profile.
+    For a model flux the diagnostics record the tilt solves made during the
+    build: ``tilt_solves``, ``newton_iterations`` (the largest count) and
+    ``newton_residual`` (the worst relative density residual).
     """
     from .pde import ScaledFluxView
 
     view = flux if n is None else ScaledFluxView(flux, n, beta)
+    # the tilt solves of a model flux, counted from here for the diagnostics
+    newton = getattr(view, "newton", None)
+    if newton is not None:
+        newton.reset()
     if u_max is None:
         u_max = 0.3 * np.sqrt(r_hi)
     geom = CharGeometry(view, r_lo, r_hi, u_max)
@@ -1043,38 +1077,48 @@ def build_entropy(flux, r_lo, r_hi, n=None, beta=0.5, u_max=None, rho_max=None,
     S_u = mirror(out["S_u"], -1)
     S_rr = mirror(out["S_rr"], +1)
     S_ru = mirror(out["S_ru"], -1)
+    del out, out_g      # the march levels; keep the peak down
 
-    RR, UU = np.meshgrid(rho, u_full)
-    PsiRR, phi, pr, pu, fr, fu = view.bundle(RR, UU)
-    S_uu = (pu * S_rr + (fu - pr) * S_ru) / fr
-
-    # entropy flux from F_u = Psi_u S_rho + Phi_u S_u, F(.,0) = 0
-    integrand = pu * S_rho + fu * S_u
-    del phi, pr, pu, fr, fu     # full-grid fields; keep the peak down
+    # S_uu from the equation; entropy flux from F_u = Psi_u S_rho + Phi_u
+    # S_u with F(.,0) = 0; the flux fields are taken block by block
+    PsiRR = np.empty_like(S)
+    S_uu = np.empty_like(S)
+    integrand = np.empty_like(S)
+    for rows in _row_blocks(*S.shape):
+        PsiRR[rows], _, pr, pu, fr, fu = view.bundle(rho, u_full[rows, None])
+        S_uu[rows] = (pu * S_rr[rows] + (fu - pr) * S_ru[rows]) / fr
+        integrand[rows] = pu * S_rho[rows] + fu * S_u[rows]
     nu_pos = len(u_pos)
-    F = np.zeros_like(S)
-    upper = cumulative_simpson(integrand[nu_pos - 1:], x=u_full[nu_pos - 1:],
-                               initial=0.0, axis=0)
-    F[nu_pos - 1:] = upper
-    F[:nu_pos] = -upper[::-1]  # F odd in u
+    F = np.empty_like(S)
+    # the rho columns integrate apart; blocks of them bound the temporaries
+    for cols in _row_blocks(n_rho, nu_pos):
+        upper = cumulative_simpson(integrand[nu_pos - 1:, cols],
+                                   x=u_full[nu_pos - 1:], initial=0.0, axis=0)
+        F[nu_pos - 1:, cols] = upper
+        F[:nu_pos, cols] = -upper[::-1]  # F odd in u
+    del integrand
 
-    labels = geom.classify(RR, UU)
-    lin = RR - (r_hi - r_lo) / logq
+    labels = geom.classify(rho, u_full[:, None])
+    lin = np.broadcast_to(rho - (r_hi - r_lo) / logq, S.shape)
 
     # seam diagnostics: marched values vs the exact closed forms away from D3
     diag = {}
     far1 = _erode(labels == D1, 4)
     far2 = _erode(labels == D2, 4)
     diag["overlap_D1"] = float(np.max(np.abs(S[far1]), initial=0.0))
-    diag["overlap_D2"] = float(np.max(np.abs((S - lin)[far2]), initial=0.0))
-    diag["overlap_D2_Srho"] = float(np.max(np.abs((S_rho - 1.0)[far2]), initial=0.0))
+    diag["overlap_D2"] = float(np.max(np.abs(S[far2] - lin[far2]), initial=0.0))
+    diag["overlap_D2_Srho"] = float(np.max(np.abs(S_rho[far2] - 1.0), initial=0.0))
     diag["overlap_D1_F"] = float(np.max(np.abs(F[far1]), initial=0.0))
-    diag["overlap_D2_F"] = float(np.max(np.abs((F - PsiRR)[far2]), initial=0.0))
+    diag["overlap_D2_F"] = float(np.max(np.abs(F[far2] - PsiRR[far2]), initial=0.0))
     diag["C1"], diag["C2"], diag["r0"] = geom.C1, geom.C2, geom.r0
     diag["r0_canonical"] = False    # adaptive choice, flagged as such
     # coefficient_s: coefficient tables before the march plus rows built in it
     march["coefficient_s"] += table_s
     diag.update(march)
+    if newton is not None:
+        diag.update(tilt_solves=newton.calls,
+                    newton_iterations=newton.iterations,
+                    newton_residual=newton.residual)
 
     tol_overlap = 5e-3 * max(1.0, np.max(np.abs(S)))
     if max(diag["overlap_D1"], diag["overlap_D2"]) > tol_overlap:

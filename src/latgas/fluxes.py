@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import microscopic_fluxes
-from .thermo import DomainPolygon, invert_parameters_grid, tilted
+from .thermo import DomainPolygon, NewtonLog, invert_parameters_grid
 
 
 class NormalizationWarning(UserWarning):
@@ -59,6 +59,9 @@ class FluxPair:
     _psi_tab: np.ndarray = field(default=None, repr=False)
     _phi_tab: np.ndarray = field(default=None, repr=False)
     _phi_origin: float = field(default=None, repr=False)
+    # the tilt solves made by this flux (``build_entropy`` reads it)
+    newton: NewtonLog = field(default_factory=NewtonLog, repr=False,
+                              compare=False)
 
     def __post_init__(self):
         psi, phi, _, _ = microscopic_fluxes(self.model)
@@ -86,9 +89,9 @@ class FluxPair:
         shape = np.broadcast(rho, u).shape
         # the rho=0 edge is a chemical-potential limit; back off by a hair
         rho_eval = np.maximum(np.broadcast_to(rho, shape).astype(float), 1e-11)
-        tau, theta, _ = invert_parameters_grid(self.model, rho_eval, u)
-        p, _, _ = tilted(self.model, tau.reshape(-1), theta.reshape(-1))
-        return p, shape
+        sol = invert_parameters_grid(self.model, rho_eval, u)
+        self.newton.record(sol)
+        return sol.p.reshape(-1, self.model.nstates), shape
 
     def _raw(self, rho, u):
         """(Psi, Phi_raw) by exact double sums; accepts arrays."""

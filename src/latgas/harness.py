@@ -26,7 +26,7 @@ from .models import (TooLarge, build_model, configurations, level_totals,
 from .pde import LimitFlux, ModelFluxView, smooth_solution_oracle
 from .sim import (ScalingPlan, sample_local_equilibrium, simulate,
                   empirical_fields, weight_function, philox_stream)
-from .thermo import DomainPolygon, invert_parameters_grid, tilted
+from .thermo import DomainPolygon, invert_parameters_grid
 
 
 @dataclass
@@ -293,8 +293,7 @@ def _sample_blocks(model, plan, n, rho0, u0, samples, seed):
     """Draw block averages of (eta, zeta) from i.i.d. local equilibrium."""
     l = plan.block_size(n)
     rho_s, u_s = plan.scale_profile_values(np.array([rho0]), np.array([u0]), n)
-    tau, theta, _ = invert_parameters_grid(model, rho_s, u_s)
-    cum = np.cumsum(tilted(model, tau[0], theta[0])[0])
+    cum = np.cumsum(invert_parameters_grid(model, rho_s, u_s).p[0])
     rng = philox_stream(seed, 77)
     offs = np.arange(-l + 1, l)
     wts = weight_function(offs / l) / l
@@ -469,7 +468,6 @@ def _xi_expectation(model, xi, rho_vals, u_vals):
     tab = {"psi": psi, "phi": phi, "psi_s": psi_s, "phi_s": phi_s}[xi]
     # evaluate exactly per distinct query point (few thousand at most)
     uniq, inv = np.unique(q, axis=0, return_inverse=True)
-    tau, theta, _ = invert_parameters_grid(model, uniq[:, 0], uniq[:, 1])
-    p, _, _ = tilted(model, tau, theta)
+    p = invert_parameters_grid(model, uniq[:, 0], uniq[:, 1]).p
     vals = np.einsum("ia,ab,ib->i", p, tab, p)
     return vals[inv]

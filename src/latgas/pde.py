@@ -92,6 +92,7 @@ class ModelFluxView:
     def __init__(self, flux_pair):
         self.fp = flux_pair
         self.gamma = flux_pair.gamma
+        self.newton = flux_pair.newton
         self.name = f"model({flux_pair.model.name})"
 
     def Psi(self, rho, u):
@@ -142,6 +143,7 @@ class ScaledFluxView:
 
     def __init__(self, base, n, beta):
         self.base = base
+        self.newton = getattr(base, "newton", None)
         self.n = float(n)
         self.beta = float(beta)
         self.gamma = base.gamma

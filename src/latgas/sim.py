@@ -27,7 +27,7 @@ from . import native
 # TooLarge is re-exported: callers catch it as sim.TooLarge
 from .models import TooLarge, configurations, transitions
 from .thermo import (DomainPolygon, OutOfDomain, gibbs_measure,
-                     invert_parameters_grid, tilted)
+                     invert_parameters_grid)
 
 
 _EVENT_CHUNK = 20_000_000
@@ -154,8 +154,7 @@ def sample_local_equilibrium(model, rho_profile, u_profile, n, plan, seed,
         raise OutOfDomain(
             f"scaled profile leaves the domain at site {bad}: "
             f"({rho_vals[bad]:.4g}, {u_vals[bad]:.4g})")
-    tau, theta, _ = invert_parameters_grid(model, rho_vals, u_vals)
-    p, _, _ = tilted(model, tau, theta)
+    p = invert_parameters_grid(model, rho_vals, u_vals).p
     rng = philox_stream(seed, stream)
     cum = np.cumsum(p, axis=1)
     draws = rng.random(n)
@@ -175,7 +174,7 @@ class ConservationViolated(RuntimeError):
 
 
 # Same loop as _apply_events_py over flat row-major tables; the caller
-# validates every argument (see _check_event_args) before it runs.
+# validates every argument (see _bind_events and _check_draws) before it runs.
 _KERNEL_SOURCE = r"""
 #include <stdint.h>
 
@@ -236,13 +235,7 @@ def _load_c_kernel():
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     fn.argtypes = [ptr, i64, ptr, ptr, i64, ptr, ptr, ptr, i64, i64]
     fn.restype = i64
-
-    def apply_events_c(spins, bonds, us, cum, out_a, out_b, nchan, k):
-        return fn(spins.ctypes.data, spins.size, bonds.ctypes.data,
-                  us.ctypes.data, bonds.size, cum.ctypes.data,
-                  out_a.ctypes.data, out_b.ctypes.data, nchan, k)
-
-    return apply_events_c
+    return fn
 
 
 def _resolve_kernel():
@@ -264,13 +257,12 @@ def _require(a, dtype, shape, name):
                          f"array of shape {shape}")
 
 
-def _check_event_args(spins, bonds, us, cum, out_a, out_b, nchan, k):
-    """Reject anything the compiled kernel would read or write out of bounds."""
+def _check_lattice(spins, cum, out_a, out_b, nchan, k):
+    """Reject a lattice or channel table the compiled kernel would index
+    out of bounds."""
     _require(spins, np.uint8, (np.size(spins),), "spins")
     if not spins.flags.writeable:
         raise ValueError("spins must be writeable")
-    _require(bonds, np.int64, (bonds.size,), "bonds")
-    _require(us, np.float64, bonds.shape, "draws")
     for name, table, dtype in (("cum", cum, np.float64),
                                ("out_a", out_a, np.uint8),
                                ("out_b", out_b, np.uint8)):
@@ -279,15 +271,46 @@ def _check_event_args(spins, bonds, us, cum, out_a, out_b, nchan, k):
         if a.size and int(a.max()) >= k:
             raise ValueError(f"{name} holds state {int(a.max())}, "
                              f"outside 0..{k - 1}")
+
+
+def _check_draws(spins, bonds, us):
+    """Reject candidate events outside the lattice."""
+    _require(bonds, np.int64, (bonds.size,), "bonds")
+    _require(us, np.float64, bonds.shape, "draws")
     if bonds.size and not (bonds.min() >= 0 and bonds.max() < spins.size):
         raise ValueError(f"bond index outside 0..{spins.size - 1}")
 
 
-def _apply_events(spins, bonds, us, cum, out_a, out_b, nchan, k):
-    """Apply candidate events in order; returns the number accepted."""
+def _bind_events(spins, cum, out_a, out_b, nchan, k):
+    """Check the lattice and channel table once; returns ``apply(bonds,
+    us)``, which applies candidate events in order and returns the number
+    accepted.  The draws are not checked again: they must be int64 bonds in
+    0..n-1 and as many float64 uniforms, as ``simulate`` makes them."""
     nchan, k = int(nchan), int(k)
-    _check_event_args(spins, bonds, us, cum, out_a, out_b, nchan, k)
-    return _resolve_kernel()(spins, bonds, us, cum, out_a, out_b, nchan, k)
+    _check_lattice(spins, cum, out_a, out_b, nchan, k)
+    kernel = _resolve_kernel()
+    if kernel is _apply_events_py:
+        def apply(bonds, us):
+            return kernel(spins, bonds, us, cum, out_a, out_b, nchan, k)
+        return apply
+    n = spins.size
+    p_spins, p_cum = spins.ctypes.data, cum.ctypes.data
+    p_a, p_b = out_a.ctypes.data, out_b.ctypes.data
+
+    def apply(bonds, us):
+        return kernel(p_spins, n, bonds.ctypes.data, us.ctypes.data,
+                      bonds.size, p_cum, p_a, p_b, nchan, k)
+
+    apply.buffers = (spins, cum, out_a, out_b)   # alive while bound
+    return apply
+
+
+def _apply_events(spins, bonds, us, cum, out_a, out_b, nchan, k):
+    """Apply candidate events in order, every argument checked; returns the
+    number accepted."""
+    apply = _bind_events(spins, cum, out_a, out_b, nchan, k)
+    _check_draws(spins, bonds, us)
+    return apply(bonds, us)
 
 
 class _ChannelTable:
@@ -333,17 +356,19 @@ def simulate(state, model, plan, t_end, observe_at=(), observer=None,
     total_rate = n * table.bond_rate
     stops = sorted(set(float(t) for t in observe_at) | {float(t_end)})
     stops = [t for t in stops if t > state.time + 1e-15]
+    apply = None
     for t_stop in stops:
         dt = t_stop - state.time
         n_events = int(state.rng.poisson(total_rate * dt))
         remaining = n_events
         while remaining > 0:
+            if apply is None:
+                apply = _bind_events(state.spins, table.cum, table.out_a,
+                                     table.out_b, table.nchan, table.k)
             chunk = min(remaining, _EVENT_CHUNK)
             bonds = state.rng.integers(0, n, size=chunk, dtype=np.int64)
             us = state.rng.random(chunk)
-            acc = _apply_events(state.spins, bonds, us, table.cum,
-                                table.out_a, table.out_b, table.nchan,
-                                np.int64(table.k))
+            acc = apply(bonds, us)
             state.events += chunk
             state.accepted += int(acc)
             remaining -= chunk
@@ -357,6 +382,7 @@ def simulate(state, model, plan, t_end, observe_at=(), observer=None,
         state.update_hash()
         if observer is not None and (t_stop in observe_at or not observe_at):
             observer(state)
+            apply = None    # the observer may have touched the lattice
     return state
 
 

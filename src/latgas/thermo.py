@@ -23,16 +23,26 @@ def tilted(model, tau, theta):
     """Tilted single-site measure pi_{tau,theta} at every (tau, theta).
 
     Returns ``(p, xm, Z)`` with ``p`` of shape ``(..., k)``; the log moment
-    generating function is ``G = xm + log(Z)``.
+    generating function is ``G = xm + log(Z)``.  The work runs with the
+    states on the leading axis (``p`` is a view of that array): every pass
+    is elementwise over the points, and ``Z`` sums the states one at a time,
+    so no point's measure depends on the others in the call.
     """
     pi = model.pi
     logpi = np.log(pi, where=pi > 0, out=np.full(model.nstates, -np.inf))
-    x = (np.asarray(tau, dtype=float)[..., None] * model.eta
-         + np.asarray(theta, dtype=float)[..., None] * model.zeta + logpi)
-    xm = x.max(axis=-1, keepdims=True)
-    w = np.exp(x - xm)
-    Z = w.sum(axis=-1)
-    return w / Z[..., None], xm[..., 0], Z
+    tau = np.asarray(tau, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    col = (model.nstates,) + (1,) * max(tau.ndim, theta.ndim)
+    x = model.eta.reshape(col) * tau + model.zeta.reshape(col) * theta
+    x += logpi.reshape(col)
+    xm = x.max(axis=0)
+    x -= xm
+    w = np.exp(x, out=x)
+    Z = w[0].copy()
+    for row in w[1:]:
+        Z += row
+    w /= Z
+    return w.transpose(*range(1, w.ndim), 0), xm, Z
 
 
 def log_mgf(model, tau, theta):
@@ -109,11 +119,55 @@ class CanonicalParams:
     G: float
 
 
+class Tilt(tuple):
+    """``(tau, theta, G)`` of a tilt inversion, with what the solve saw.
+
+    Unpacks as the three arrays.  ``p`` holds the tilted measures of each
+    point's last Newton iteration (shape ``(..., k)``, the same rows
+    ``tilted(model, tau, theta)`` gives), ``iterations`` the largest number
+    of Newton iterations (tilt evaluations) any point took and ``residual``
+    the worst relative density residual ``|m_rho - rho| / rho`` at exit.
+    """
+
+    def __new__(cls, tau, theta, G, p, iterations, residual):
+        self = super().__new__(cls, (tau, theta, G))
+        self.p, self.iterations, self.residual = p, iterations, residual
+        return self
+
+
+@dataclass
+class NewtonLog:
+    """Running record of tilt inversions: calls, the largest Newton
+    iteration count and the worst relative density residual."""
+
+    calls: int = 0
+    iterations: int = 0
+    residual: float = 0.0
+
+    def record(self, sol):
+        self.calls += 1
+        self.iterations = max(self.iterations, sol.iterations)
+        self.residual = max(self.residual, sol.residual)
+
+    def reset(self):
+        self.calls, self.iterations, self.residual = 0, 0, 0.0
+
+
 def invert_parameters_grid(model, rho, u, tol=1e-12, max_iter=100):
     """Vectorized Newton solve of grad G(tau, theta) = (rho, u).
 
     Works on arrays of targets; the Hessian of G is the (eta, zeta)
-    covariance, positive definite in the interior of the domain.
+    covariance, positive definite in the interior of the domain.  Returns
+    a ``Tilt``.
+
+    A point stops once ``|m_rho - rho| < tol * min(1, rho)`` and
+    ``|m_u - u| < tol``, relative in rho so that low densities keep their
+    digits.  Below the reference density ``m0 = E_pi[eta]`` the solve
+    starts from the low-density asymptote ``tau = log(rho / m0)``
+    (``theta = 0``), else from (0, 0).  Converged points leave the working
+    arrays, which are compacted only in iterations where some point
+    converged; every point takes the same arithmetic whatever else shares
+    the call.
     """
     rho = np.asarray(rho, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -121,23 +175,50 @@ def invert_parameters_grid(model, rho, u, tol=1e-12, max_iter=100):
     rho_f = np.broadcast_to(rho, shape).reshape(-1)
     u_f = np.broadcast_to(u, shape).reshape(-1)
     npts = rho_f.size
-    tau = np.zeros(npts)
-    theta = np.zeros(npts)
     eta, zeta = model.eta, model.zeta
-    ok = np.zeros(npts, dtype=bool)
-    for _ in range(max_iter):
-        p, xm, Z = tilted(model, tau, theta)
-        m_rho = p @ eta
-        m_u = p @ zeta
-        f1 = m_rho - rho_f
-        f2 = m_u - u_f
-        ok = (np.abs(f1) < tol) & (np.abs(f2) < tol)
-        if ok.all():
+    # weights of the five state sums: m_rho, m_u and the second moments
+    wts = np.array([eta, zeta, eta * eta, eta * zeta, zeta * zeta], dtype=float)
+    m0 = float(model.pi @ eta)
+    tau = np.zeros(npts)
+    np.log(rho_f / m0, out=tau, where=(rho_f > 0) & (rho_f < m0))
+    theta = np.zeros(npts)
+    tol_rho = tol * np.minimum(1.0, rho_f)
+    out_tau, out_theta, out_G = np.empty(npts), np.empty(npts), np.empty(npts)
+    out_p = np.empty((model.nstates, npts))
+    # the working arrays: positions, targets and iterates of open points
+    idx, r, v, tr = np.arange(npts), rho_f, u_f, tol_rho
+    iterations, worst = 0, 0.0
+    for it in range(max_iter):
+        if not idx.size:
             break
+        p, xm, Z = tilted(model, tau, theta)
+        pT = p.T    # (k, points), contiguous
+        mom = wts[:, :1] * pT[0]
+        for j in range(1, model.nstates):
+            mom += wts[:, j:j + 1] * pT[j]
+        f1 = mom[0] - r
+        f2 = mom[1] - v
+        ok = (np.abs(f1) < tr) & (np.abs(f2) < tol)
+        if ok.any():
+            done = idx[ok]
+            out_tau[done], out_theta[done] = tau[ok], theta[ok]
+            # G from the last iteration's tilt at the returned (tau, theta)
+            out_G[done] = xm[ok] + np.log(Z[ok])
+            out_p[:, done] = pT[:, ok]
+            worst = max(worst, float(np.max(np.abs(f1[ok]) / r[ok])))
+            iterations = it + 1
+            keep = ~ok
+            idx = idx[keep]
+            if not idx.size:
+                break
+            r, v, tr = r[keep], v[keep], tr[keep]
+            tau, theta, mom = tau[keep], theta[keep], mom[:, keep]
+            f1, f2 = f1[keep], f2[keep]
         # 2x2 Newton step with the covariance matrix
-        c11 = p @ (eta * eta) - m_rho ** 2
-        c12 = p @ (eta * zeta) - m_rho * m_u
-        c22 = p @ (zeta * zeta) - m_u ** 2
+        m_rho, m_u = mom[0], mom[1]
+        c11 = mom[2] - m_rho ** 2
+        c12 = mom[3] - m_rho * m_u
+        c22 = mom[4] - m_u ** 2
         det = c11 * c22 - c12 * c12
         det = np.where(np.abs(det) < 1e-300, np.nan, det)
         dtau = (c22 * f1 - c12 * f2) / det
@@ -147,13 +228,13 @@ def invert_parameters_grid(model, rho, u, tol=1e-12, max_iter=100):
         lim = np.minimum(1.0, 5.0 / np.maximum(step, 1e-300))
         tau -= lim * dtau
         theta -= lim * dtheta
-    if not ok.all():
-        bad = int(np.argmax(~ok))
+    if idx.size:
         raise NonConvergence(
-            f"Newton failed at (rho,u)=({rho_f[bad]:.6g},{u_f[bad]:.6g})")
-    # the last iteration tilted at the returned (tau, theta)
-    G = xm + np.log(Z)
-    return tau.reshape(shape), theta.reshape(shape), G.reshape(shape)
+            f"Newton failed at (rho,u)=({rho_f[idx[0]]:.6g},{u_f[idx[0]]:.6g})")
+    return Tilt(out_tau.reshape(shape), out_theta.reshape(shape),
+                out_G.reshape(shape),
+                out_p.T.reshape(shape + (model.nstates,)),
+                iterations, worst)
 
 
 def invert_parameters(model, rho, u, domain=None, tol=1e-12, max_iter=100):

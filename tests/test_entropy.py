@@ -280,6 +280,12 @@ def test_scaled_two_lane_table_pinned():
     assert set(fits) == set(pinned)
     for name, want in pinned.items():
         assert abs(fits[name].constant - want) <= 1e-10 * abs(want)
+    # the build's tilt solves, the rho = 0 column's floor points (1e-11
+    # after scaling) among them, take a handful of Newton steps each
+    diag = tab.diagnostics
+    assert diag["tilt_solves"] > 0
+    assert diag["newton_iterations"] <= 10
+    assert 0.0 < diag["newton_residual"] < 1e-12
 
 
 def test_fd_operators_exact_on_quartics():

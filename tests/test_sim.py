@@ -383,6 +383,26 @@ def test_bad_event_arguments_raise(monkeypatch, pm1, backend):
                              tab.k) == 0
 
 
+@pytest.mark.parametrize("backend", ["c", "python"])
+def test_observer_cannot_corrupt_lattice(monkeypatch, pm1, backend):
+    """The lattice is checked once per run and again after every observer
+    call, so a state written by an observer is caught before the kernel."""
+    if backend == "python":
+        monkeypatch.setattr(sim, "_kernel", sim._apply_events_py)
+    elif sim.event_kernel() != "c":
+        pytest.skip("no C compiler to build the event kernel")
+    plan = ScalingPlan()
+    st = sample_local_equilibrium(pm1, lambda x: 0.5 + 0 * x,
+                                  lambda x: 0.0 * x, 16, plan, seed=4)
+
+    def corrupt(state):
+        state.spins[3] = 9
+
+    with pytest.raises(ValueError, match="outside"):
+        simulate(st, pm1, plan, 0.2, observe_at=(0.1, 0.2), observer=corrupt,
+                 check_conservation=False)
+
+
 @pytest.mark.parametrize("compiler", [None, "false"])
 def test_python_fallback_without_compiler(monkeypatch, tmp_path, pm1,
                                           compiler):

@@ -116,3 +116,42 @@ def test_vectorized_inversion_matches_scalar(two_lane):
         cp = invert_parameters(two_lane, rho[i], u[i])
         assert abs(tau[i] - cp.tau) < 1e-9
         assert abs(theta[i] - cp.theta) < 1e-9
+
+
+@pytest.fixture(scope="module")
+def two_lane_125():
+    from latgas import build_model
+
+    return build_model("two-lane", gamma=1.25)
+
+
+@pytest.mark.parametrize("name", ["pm1", "two_lane_125"])
+def test_low_density_inversion_keeps_relative_accuracy(request, name):
+    """Down to the 1e-11 floor of the model fluxes the solved tilt gives
+    back rho to 1e-10 relative, not merely to 1e-12 absolute."""
+    model = request.getfixturevalue(name)
+    R, U = np.meshgrid([1e-11, 1e-9, 1e-7, 1e-3], [-0.5, 0.0, 0.05, 0.3])
+    sol = invert_parameters_grid(model, R, U)
+    p = gibbs_measure(model, sol[0], sol[1])
+    assert np.max(np.abs(p @ model.eta - R) / R) < 1e-10
+    assert np.max(np.abs(p @ model.zeta - U)) < 1e-12
+    assert sol.residual < 1e-12
+    assert sol.iterations <= 10
+    # the measures returned with the solve are those of the returned tilt
+    assert np.array_equal(sol.p, p)
+
+
+@pytest.mark.parametrize("name", ["pm1", "two_lane_125"])
+def test_batch_inversion_equals_pointwise(request, name):
+    """A point's solve does not depend on the other points of the call."""
+    model = request.getfixturevalue(name)
+    rng = np.random.default_rng(3)
+    rho = np.concatenate([10.0 ** rng.uniform(-11, -1, 40),
+                          rng.uniform(0.1, 0.6, 25)])
+    u = rng.uniform(-0.35, 0.35, rho.size)
+    batch = invert_parameters_grid(model, rho, u)
+    for i in range(rho.size):
+        one = invert_parameters_grid(model, rho[i], u[i])
+        for got, want in zip(one, batch):
+            assert got == want[i]
+        assert np.array_equal(one.p, batch.p[i])
