@@ -105,13 +105,12 @@ def tabulated_slope(flux, rho_max, u_max, n_rho=500, n_u=128):
     return slope
 
 
-def characteristic_curve(flux, r, u_max, u_min=None, n_steps=None,
-                         rho_floor=0.0, slope_fn=None):
+def characteristic_curve(flux, r, u_max, u_min=None, slope_fn=None):
     """Integrate the characteristic through (r, 0) over [u_min, u_max].
 
     RK4 with steps refined near the degenerate corner (0,0); the curve is
-    clamped at rho = rho_floor once it exits below.  Returns (u, rho) arrays
-    with u ascending.
+    clamped at rho = 0 once it exits below.  Returns (u, rho) arrays with u
+    ascending.
     """
     if r <= 0:
         raise SingularStart("the characteristic ODE is singular at r = 0")
@@ -124,7 +123,7 @@ def characteristic_curve(flux, r, u_max, u_min=None, n_steps=None,
         span = abs(u_end)
         if span == 0:
             return [0.0], [r]
-        n = n_steps or max(400, int(span * 400))
+        n = max(400, int(span * 400))
         # smaller steps near u = 0 where the slope ~ sqrt(rho) varies fastest
         base = span / n
         us = [0.0]
@@ -145,13 +144,10 @@ def characteristic_curve(flux, r, u_max, u_min=None, n_steps=None,
             k4 = f(u + h, rho + h * k3)
             rho = rho + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
             u = u + h
-            if rho <= rho_floor:
-                rho = rho_floor
-                us.append(u)
-                rhos.append(rho)
+            if rho <= 0.0:
                 # the curve has merged into the boundary; extend flat
-                us.append(direction * span)
-                rhos.append(rho_floor)
+                us += [u, direction * span]
+                rhos += [0.0, 0.0]
                 break
             us.append(u)
             rhos.append(rho)
@@ -243,17 +239,10 @@ class CharGeometry:
     def classify(self, rho, u):
         """Partition labels: D1 below sigma(-|u|; r_lo), D2 above
         sigma(|u|; r_hi), D3 in between (boundary closed into D3)."""
-        return self._partition(rho, u, self.r_lo, self.r_hi)
-
-    def classify_single_r(self, rho, u, r):
-        """The same partition with both curves started at radius r."""
-        return self._partition(rho, u, r, r)
-
-    def _partition(self, rho, u, r_lo, r_hi):
         rho = np.asarray(rho, dtype=float)
         u = np.asarray(u, dtype=float)
-        lo = self.sigma(-np.abs(u), r_lo)
-        hi = self.sigma(np.abs(u), r_hi)
+        lo = self.sigma(-np.abs(u), self.r_lo)
+        hi = self.sigma(np.abs(u), self.r_hi)
         out = np.full(np.broadcast(rho, u).shape, D3, dtype=np.int8)
         out = np.where(rho < lo, D1, out)
         out = np.where(rho > hi, D2, out)
@@ -316,180 +305,127 @@ def _hyper6(f):
 
 
 # ---------------------------------------------------------------------------
-# coefficient providers for the entropy equation and its derivatives
+# coefficient rows of the entropy equation and its derivatives
+#
+# The differentiated equations for S_rho, S_u, S_rr, S_ru carry lower-order
+# terms A f_rho + B f_u + G f (+ source times the coupled field).  A provider
+# is built for one rho grid and the fields to march, and ``rows(u)`` returns
+# the main rows (Psi_u, Phi_u - Psi_rho, Phi_rho) as a fresh (3, n_rho) array
+# and the stacked (A, B, G, source) rows as a (4, n_fields, n_rho) array.
 
 
-class EntropyCoefficients:
-    """Rows of PDE coefficients on a fixed rho grid at a given u level.
+def _partners(names):
+    """Row of the field each equation's source term multiplies: S_rr and
+    S_ru couple to each other when both march, every other field to itself
+    with a zero source."""
+    partner = np.arange(len(names))
+    if "S_rr" in names and "S_ru" in names:
+        i, j = names.index("S_rr"), names.index("S_ru")
+        partner[i], partner[j] = j, i
+    return partner
 
-    The differentiated equations for S_rho, S_u, S_rr, S_ru carry lower-order
-    terms A f_rho + B f_u + G f (+ source); for the limit fluxes these reduce
-    to constant A = kappa in {1, 2gamma-1, 2, 2gamma} with B = G = 0.  For
-    model fluxes the coefficients involve rho- and u-derivatives of the
-    ratios Psi_u/Phi_rho etc., formed by differencing flux bundles on a
-    9-point offset pattern; everything at one u level comes from a single
-    stacked bundle, so one tilt solve.
+
+class LimitRows:
+    """Exact rows of the limit fluxes: Psi_u = rho, Phi_u - Psi_rho =
+    (2 gamma - 1) u and Phi_rho = 1; the lower-order terms reduce to a
+    constant A = kappa in {1, 2gamma-1, 2, 2gamma} (0 for S itself) with
+    B = G = 0 and no source, the same at every u."""
+
+    def __init__(self, flux, rho, names):
+        g = flux.gamma
+        kappa = {"S": 0.0, "S_rho": 1.0, "S_u": 2 * g - 1.0, "S_rr": 2.0,
+                 "S_ru": 2 * g}
+        self.rho, self.names, self.gamma = rho, tuple(names), g
+        self.pu = np.maximum(rho, 1e-9)
+        self.low = np.zeros((4, len(names), rho.size))
+        self.low[0] = np.array([kappa[k] for k in names])[:, None]
+
+    def rows(self, u):
+        main = np.empty((3, self.rho.size))
+        main[0], main[1], main[2] = self.pu, 2.0 * self.gamma * u - u, 1.0
+        return main, self.low
+
+
+class ModelRows:
+    """Model-flux rows tabulated at ``nodes`` u levels over [u_lo, u_hi] and
+    interpolated linearly in u in between.
+
+    The lower-order coefficients involve rho- and u-derivatives of the ratios
+    Psi_u/Phi_rho etc., formed by differencing flux bundles on a 9-point
+    offset pattern; everything at one node comes from a single stacked
+    bundle, so one tilt solve.
     """
 
     PU_FLOOR = 1e-9
-    # the 9-point offset pattern (multiples of h in rho and in u)
-    _OFFSETS = {"C": (0, 0), "R+": (1, 0), "R-": (-1, 0), "U+": (0, 1),
-                "U-": (0, -1), "R+U+": (1, 1), "R+U-": (1, -1),
-                "R-U+": (-1, 1), "R-U-": (-1, -1)}
+    # the 9-point offset pattern in multiples of h: C, R+, R-, U+, U-,
+    # R+U+, R+U-, R-U+, R-U- (rho offset, u offset)
+    _OFFSETS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1),
+                (-1, 1), (-1, -1))
 
-    def __init__(self, flux, rho_grid):
-        self.flux = flux
-        self.rho = rho_grid
-        self.is_limit = isinstance(flux, LimitFlux)
-        self.h = 0.5 * (rho_grid[1] - rho_grid[0])
-        self._cache = {}
+    def __init__(self, flux, rho, names, u_lo, u_hi, nodes=150):
+        self.rho, self.names = rho, tuple(names)
+        pad = 0.02 * (u_hi - u_lo) + 1e-9
+        self.u_nodes = np.linspace(u_lo - pad, u_hi + pad, nodes)
+        # per node: the 3 main rows, then the 4 nf lower-order rows
+        self._table = np.empty((nodes, 3 + 4 * len(names), rho.size))
+        for t, u in zip(self._table, self.u_nodes):
+            t[...] = self._node_rows(flux, u)
 
-    def main(self, u):
-        if self.is_limit:
-            # exact coefficients: the centre bundle is all that is needed
-            _, _, pr, pu, fr, fu = self.flux.bundle(np.maximum(self.rho, 1e-9),
-                                                    u)
-            return pu, fu - pr, fr
-        b = self._bundles(u)["C"]
-        return b["pu"].copy(), (b["fu"] - b["pr"]), b["fr"].copy()
-
-    def _bundles(self, u):
-        """Model-flux fields on the offset pattern from one stacked bundle."""
-        key = round(float(u), 14)
-        if key in self._cache:
-            return self._cache[key]
-        h = self.h
+    def _node_rows(self, flux, u):
         rho = self.rho
+        h = 0.5 * (rho[1] - rho[0])
         rm = np.maximum(rho - h, 1e-9)
         rp = rho + h
         r_at = {0: rho, 1: rp, -1: rm}
-        R = np.stack([r_at[i] for i, _ in self._OFFSETS.values()])
-        U = np.stack([np.full_like(rho, u + j * h)
-                      for _, j in self._OFFSETS.values()])
+        R = np.stack([r_at[i] for i, _ in self._OFFSETS])
+        U = np.stack([np.full_like(rho, u + j * h) for _, j in self._OFFSETS])
         _, _, pr, pu, fr, fu = (np.asarray(a, dtype=float) for a in
-                                self.flux.bundle(np.maximum(R, 1e-9), U))
+                                flux.bundle(np.maximum(R, 1e-9), U))
         pu_f = np.maximum(pu, self.PU_FLOOR)
         gap = fu - pr
-        # the ratio fields entering the lower-order coefficients
-        fields = {"pr": pr, "pu": pu, "fr": fr, "fu": fu, "pu_fr": pu / fr,
-                  "gap_fr": gap / fr, "gap_pu": gap / pu_f, "fr_pu": fr / pu_f}
-        out = {name: {k: v[i] for k, v in fields.items()}
-               for i, name in enumerate(self._OFFSETS)}
-        out["_rm"], out["_rp"] = rm, rp
-        if len(self._cache) > 12:
-            self._cache.clear()
-        self._cache[key] = out
-        return out
+        # the ratio fields entering the lower-order coefficients, (9, n) each
+        pu_fr, gap_fr = pu / fr, gap / fr
+        gap_pu, fr_pu = gap / pu_f, fr / pu_f
 
-    def _dr(self, bl, fld):
-        span = bl["_rp"] - bl["_rm"]
-        return (bl["R+"][fld] - bl["R-"][fld]) / span
+        def dr(f):
+            return (f[1] - f[2]) / (rp - rm)
 
-    def _du(self, bl, fld):
-        return (bl["U+"][fld] - bl["U-"][fld]) / (2 * self.h)
+        def du(f):
+            return (f[3] - f[4]) / (2 * h)
 
-    def _drr(self, bl, fld):
-        a, b, c = bl["_rm"], self.rho, bl["_rp"]
-        fa, fb, fc = bl["R-"][fld], bl["C"][fld], bl["R+"][fld]
-        return 2.0 * (fa / ((b - a) * (c - a)) - fb / ((b - a) * (c - b))
-                      + fc / ((c - a) * (c - b)))
+        def drr(f):
+            a, b, c = rm, rho, rp
+            return 2.0 * (f[2] / ((b - a) * (c - a)) - f[0] / ((b - a) * (c - b))
+                          + f[1] / ((c - a) * (c - b)))
 
-    def _dru(self, bl, fld):
-        dup = (bl["R+U+"][fld] - bl["R+U-"][fld]) / (2 * self.h)
-        dum = (bl["R-U+"][fld] - bl["R-U-"][fld]) / (2 * self.h)
-        return (dup - dum) / (bl["_rp"] - bl["_rm"])
+        def dru(f):
+            return ((f[5] - f[6]) / (2 * h) - (f[7] - f[8]) / (2 * h)) \
+                / (rp - rm)
 
-    def lower_order(self, name, u):
-        """(A, B, G) rows for the requested differentiated field."""
-        if self.is_limit:
-            g = self.flux.gamma
-            kappa = {"S_rho": 1.0, "S_u": 2 * g - 1.0,
-                     "S_rr": 2.0, "S_ru": 2 * g}[name]
-            zero = np.zeros_like(self.rho)
-            return np.full_like(self.rho, kappa), zero.copy(), zero.copy()
-        bl = self._bundles(u)
-        fr = bl["C"]["fr"]
-        pu = bl["C"]["pu"]
-        if name == "S_rho":
-            return (fr * self._dr(bl, "pu_fr"), fr * self._dr(bl, "gap_fr"),
-                    np.zeros_like(self.rho))
-        if name == "S_u":
-            return (pu * self._du(bl, "gap_pu"), -pu * self._du(bl, "fr_pu"),
-                    np.zeros_like(self.rho))
-        if name == "S_rr":
-            return (2 * fr * self._dr(bl, "pu_fr"),
-                    2 * fr * self._dr(bl, "gap_fr"),
-                    -fr * self._drr(bl, "pu_fr"))
-        if name == "S_ru":
-            A = pu * self._du(bl, "gap_pu") + fr * self._dr(bl, "pu_fr")
-            B = fr * self._dr(bl, "gap_fr") - pu * self._du(bl, "fr_pu")
-            G = (pu * self._du(bl, "fr_pu") * self._dr(bl, "gap_fr")
-                 + fr * self._dru(bl, "gap_fr"))
-            return A, B, G
-        raise KeyError(name)
+        fr, pu = fr[0], pu[0]
+        dr_pf, dr_gf, du_gp, du_fp = dr(pu_fr), dr(gap_fr), du(gap_pu), du(fr_pu)
+        zero = np.zeros_like(rho)
+        low = {"S": (zero, zero, zero, zero),
+               "S_rho": (fr * dr_pf, fr * dr_gf, zero, zero),
+               "S_u": (pu * du_gp, -pu * du_fp, zero, zero),
+               "S_rr": (2 * fr * dr_pf, 2 * fr * dr_gf, -fr * drr(pu_fr),
+                        -fr * drr(gap_fr)),
+               "S_ru": (pu * du_gp + fr * dr_pf, fr * dr_gf - pu * du_fp,
+                        pu * du_fp * dr_gf + fr * dru(gap_fr),
+                        -(pu * du_fp * dr_pf + fr * dru(pu_fr)))}
+        coupled = _partners(self.names) != np.arange(len(self.names))
+        return [pu, gap[0], fr] + [low[k][m] if m < 3 or c else zero
+                                   for m in range(4)
+                                   for k, c in zip(self.names, coupled)]
 
-    def source_coeff(self, name, u):
-        """Multiplier of the coupled field in the inhomogeneous equations."""
-        if self.is_limit:
-            return np.zeros_like(self.rho)
-        bl = self._bundles(u)
-        fr = bl["C"]["fr"]
-        pu = bl["C"]["pu"]
-        if name == "S_rr":   # couples to S_ru
-            return -fr * self._drr(bl, "gap_fr")
-        if name == "S_ru":   # couples to S_rr
-            return -(pu * self._du(bl, "fr_pu") * self._dr(bl, "pu_fr")
-                     + fr * self._dru(bl, "pu_fr"))
-        return np.zeros_like(self.rho)
-
-
-class InterpolatedCoefficients:
-    """Linear-in-u interpolation of coefficient rows on a node grid.
-
-    Model-backed fluxes pay a tilt solve per coefficient row; sampling the
-    smooth u-dependence once and interpolating makes the march cheap.  The
-    exact-coefficient path (limit fluxes) never needs this.
-    """
-
-    def __init__(self, inner, u_lo, u_hi, nodes=150,
-                 names=("S_rho", "S_u", "S_rr", "S_ru")):
-        self.rho = inner.rho
-        self.is_limit = inner.is_limit
-        pad = 0.02 * (u_hi - u_lo) + 1e-9
-        self.u_nodes = np.linspace(u_lo - pad, u_hi + pad, nodes)
-        mains, lows, srcs = [], {k: [] for k in names}, {k: [] for k in
-                                                         ("S_rr", "S_ru")}
-        # one pass per node so each bundle set is computed exactly once
-        for u in self.u_nodes:
-            mains.append(np.stack(inner.main(u)))
-            for k in names:
-                lows[k].append(np.stack(inner.lower_order(k, u)))
-            for k in srcs:
-                srcs[k].append(inner.source_coeff(k, u))
-        self._main = np.array(mains)
-        self._low = {k: np.array(v) for k, v in lows.items()}
-        self._src = {k: np.array(v) for k, v in srcs.items() if k in names}
-
-    def _interp(self, table, u):
+    def rows(self, u):
         x = np.clip((u - self.u_nodes[0])
                     / (self.u_nodes[1] - self.u_nodes[0]),
                     0, len(self.u_nodes) - 1 - 1e-12)
         j = int(x)
         w = x - j
-        return (1.0 - w) * table[j] + w * table[j + 1]
-
-    def main(self, u):
-        m = self._interp(self._main, u)
-        return m[0], m[1], m[2]
-
-    def lower_order(self, name, u):
-        m = self._interp(self._low[name], u)
-        return m[0], m[1], m[2]
-
-    def source_coeff(self, name, u):
-        if name not in self._src:
-            return np.zeros_like(self.rho)
-        return self._interp(self._src[name], u)
+        both = (1.0 - w) * self._table[j] + w * self._table[j + 1]
+        return both[:3], both[3:].reshape(4, len(self.names), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -694,8 +630,9 @@ def _load_c_stepper():
                 pin_rows.ctypes.data, n_pin, pin_cells, pin_vals.ctypes.data)
 
         def step(du, r0, rh, r1):
-            # the rows come from _march_system's rows(): (3, n) and
-            # (4, nf, n) C-contiguous float64 by construction
+            # the rows come from a provider through _march_system's rows(),
+            # which checks its fields: (3, n) and (4, nf, n) C-contiguous
+            # float64 by construction
             fn(*head, du, *(a.ctypes.data for rows in (r0, rh, r1)
                             for a in rows))
 
@@ -704,6 +641,10 @@ def _load_c_stepper():
         return step
 
     return c_stepper
+
+
+_CFL = 0.25          # march step: _CFL h over the largest speed
+_PIN_CELLS = 4       # right-edge cells re-imposed from pin_right
 
 
 def _resolve_kernel():
@@ -718,15 +659,16 @@ def march_kernel():
     return "python" if _resolve_kernel() is _numpy_stepper else "c"
 
 
-def _march_system(coeffs, fields0, u_levels, cfl=0.25, hyper=0.3,
-                  speed_cap=None, pin_right=None, pin_cells=4, stats=None):
+def _march_system(coeffs, fields0, u_levels, hyper, pin_right=None,
+                  stats=None):
     """March the coupled Cauchy problems upward in u, storing each level.
 
-    ``fields0`` is an ordered dict name -> (f0, g0); sources couple
-    S_rr <- S_ru and S_ru <- S_rr.  The left-moving characteristic enters
+    ``coeffs`` is a ``LimitRows`` or ``ModelRows`` provider for the fields
+    of ``fields0``, an ordered dict name -> (f0, g0); the sources couple the
+    fields that ``_partners`` pairs.  The left-moving characteristic enters
     through the right edge of the strip; ``pin_right`` supplies the exact
     (f, g) values there (the deep-D2 closed forms), which are re-imposed on
-    the outermost ``pin_cells`` cells at every stage.  All fields march as
+    the outermost ``_PIN_CELLS`` cells at every stage.  All fields march as
     one (2 nf, n_rho) array, f rows then g rows, and each RK4 step runs in
     the compiled kernel when a C compiler works, in numpy otherwise;
     ``stats``, if given, receives the step count, the march seconds, the
@@ -735,6 +677,9 @@ def _march_system(coeffs, fields0, u_levels, cfl=0.25, hyper=0.3,
     rho = coeffs.rho
     h = rho[1] - rho[0]
     names = list(fields0.keys())
+    if tuple(names) != coeffs.names:
+        raise ValueError(f"coefficient rows for {coeffs.names}, "
+                         f"fields {tuple(names)}")
     nf = len(names)
     state = np.array([fields0[k][0] for k in names]
                      + [fields0[k][1] for k in names], dtype=float)
@@ -744,53 +689,35 @@ def _march_system(coeffs, fields0, u_levels, cfl=0.25, hyper=0.3,
     pin = [k for k in names if k in (pin_right or {})]
     pin_rows = np.array([names.index(k) + j * nf for j in (0, 1)
                          for k in pin], dtype=np.int64)
-    pin_vals = np.array([pin_right[k][j][-pin_cells:] for j in (0, 1)
-                         for k in pin]).reshape(len(pin_rows), pin_cells)
+    pin_vals = np.array([pin_right[k][j][-_PIN_CELLS:] for j in (0, 1)
+                         for k in pin]).reshape(len(pin_rows), _PIN_CELLS)
 
-    # row of the f field each equation's source term multiplies
-    partner = np.arange(nf)
-    if "S_rr" in names and "S_ru" in names:
-        i, j = names.index("S_rr"), names.index("S_ru")
-        partner[i], partner[j] = j, i
-
-    def lower(u):   # stacked (A, B, G, source) rows, shape (4, nf, n_rho)
-        zero = np.zeros_like(rho)
-        low = np.empty((4, nf, rho.size))
-        for i, k in enumerate(names):
-            low[:3, i] = (coeffs.lower_order(k, u) if k != "S"
-                          else (zero,) * 3)
-            low[3, i] = coeffs.source_coeff(k, u) if partner[i] != i else zero
-        return low
-
-    # the limit fluxes' lower-order rows do not depend on u
-    fixed = lower(0.0) if coeffs.is_limit else None
     cache = {}
     coeff_s = 0.0
 
-    def rows(u):    # ((pu, gap, 1/fr) as (3, n_rho), lower-order rows)
+    def rows(u):    # ((pu, gap, 1/fr) as (3, n_rho), (A, B, G, source) rows)
         nonlocal coeff_s
         key = round(float(u), 14)
         if key not in cache:
             t0 = time.perf_counter()
-            pu, gap, fr = coeffs.main(u)
-            main = np.empty((3, rho.size))
-            main[0], main[1], main[2] = pu, gap, 1.0 / fr
+            main, low = coeffs.rows(u)
+            main[2] = 1.0 / main[2]
             if len(cache) > 16:
                 cache.clear()
-            cache[key] = (main, lower(u) if fixed is None else fixed)
+            cache[key] = (main, low)
             coeff_s += time.perf_counter() - t0
         return cache[key]
 
     # the 6th-difference kernel is negative semidefinite, so adding it
     # damps grid-scale modes at rate ~ hyper/h
     damp = hyper / h * 0.015625  # / 64
-    step = _resolve_kernel()(state, nf, h, damp, partner, pin_rows, pin_vals)
+    step = _resolve_kernel()(state, nf, h, damp, _partners(names), pin_rows,
+                             pin_vals)
 
-    if speed_cap is None:
-        # conservative speed estimate over the strip
-        pu, gap, fr = coeffs.main(u_levels[-1])
-        disc = np.sqrt(np.maximum(gap ** 2 + 4 * fr * pu, 0.0))
-        speed_cap = float(np.max((disc + np.abs(gap)) / (2 * fr))) + 1e-9
+    # conservative speed estimate over the strip
+    (pu, gap, fr), _ = coeffs.rows(u_levels[-1])
+    disc = np.sqrt(np.maximum(gap ** 2 + 4 * fr * pu, 0.0))
+    speed_cap = float(np.max((disc + np.abs(gap)) / (2 * fr))) + 1e-9
 
     t_start = time.perf_counter()
     u = float(u_levels[0])
@@ -798,7 +725,7 @@ def _march_system(coeffs, fields0, u_levels, cfl=0.25, hyper=0.3,
     for lev, target in enumerate(u_levels[1:], start=1):
         target = float(target)
         while u < target - 1e-14:
-            du = min(cfl * h / speed_cap, target - u)
+            du = min(_CFL * h / speed_cap, target - u)
             step(du, rows(u), rows(u + du / 2), rows(u + du))
             u += du
             steps += 1
@@ -973,8 +900,11 @@ def _erode(mask, cells):
     return out
 
 
-def build_entropy(flux, r_lo, r_hi, n=None, beta=0.5, u_max=None, rho_max=None,
-                  n_rho=None, n_u=None, hyper=2.0, cfl=0.25, cells_per_rlo=48):
+_HYPER = 2.0         # the march's sixth-difference damping
+
+
+def build_entropy(flux, r_lo, r_hi, n=None, beta=0.5, u_max=None, n_rho=None,
+                  n_u=None, cells_per_rlo=48):
     """Construct the full entropy table for a flux (optionally rescaled).
 
     When ``n`` is given the construction runs against the rescaled fluxes
@@ -994,23 +924,22 @@ def build_entropy(flux, r_lo, r_hi, n=None, beta=0.5, u_max=None, rho_max=None,
     if u_max is None:
         u_max = 0.3 * np.sqrt(r_hi)
     geom = CharGeometry(view, r_lo, r_hi, u_max)
-    if rho_max is None:
-        rho_max = float(geom.sigma(u_max, r_hi) * 1.05 + 2.0 * np.sqrt(r_hi))
-        # stay inside the flux domain (relevant for model fluxes at small n)
-        hi = rho_max
-        if not bool(np.all(view.contains(hi, u_max))):
-            lo = float(geom.sigma(u_max, r_hi))
-            for _ in range(50):
-                mid = 0.5 * (lo + hi)
-                if bool(np.all(view.contains(mid, u_max))):
-                    lo = mid
-                else:
-                    hi = mid
-            rho_max = 0.995 * lo
-        if rho_max < float(geom.sigma(u_max, r_hi)) * 1.01:
-            raise ValueError(
-                "flux domain too small for the requested u_max; the deep-D2 "
-                "inflow strip does not fit, reduce u_max or r_hi")
+    rho_max = float(geom.sigma(u_max, r_hi) * 1.05 + 2.0 * np.sqrt(r_hi))
+    # stay inside the flux domain (relevant for model fluxes at small n)
+    hi = rho_max
+    if not bool(np.all(view.contains(hi, u_max))):
+        lo = float(geom.sigma(u_max, r_hi))
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            if bool(np.all(view.contains(mid, u_max))):
+                lo = mid
+            else:
+                hi = mid
+        rho_max = 0.995 * lo
+    if rho_max < float(geom.sigma(u_max, r_hi)) * 1.01:
+        raise ValueError(
+            "flux domain too small for the requested u_max; the deep-D2 "
+            "inflow strip does not fit, reduce u_max or r_hi")
     if n_rho is None:
         n_rho = int(rho_max / (r_lo / cells_per_rlo)) + 1
         n_rho = min(max(n_rho, 400), 6000)
@@ -1022,12 +951,14 @@ def build_entropy(flux, r_lo, r_hi, n=None, beta=0.5, u_max=None, rho_max=None,
 
     logq = np.log(r_hi / r_lo)
     s0, sp0 = cutoff_profile(r_lo, r_hi, rho)
+    names = ("S", "S_rho", "S_u", "S_rr", "S_ru")
     t0 = time.perf_counter()
-    coeffs = EntropyCoefficients(view, rho)
-    if not coeffs.is_limit:
-        coeffs = InterpolatedCoefficients(coeffs, 0.0, u_max)
+    if isinstance(view, LimitFlux):
+        coeffs = LimitRows(view, rho, names)
+    else:
+        coeffs = ModelRows(view, rho, names, 0.0, u_max)
     table_s = time.perf_counter() - t0
-    pu0, _, fr0 = coeffs.main(0.0)
+    (pu0, _, fr0), _ = coeffs.rows(0.0)
     h = rho[1] - rho[0]
     band = (rho >= r_lo) & (rho < r_hi)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -1064,7 +995,7 @@ def build_entropy(flux, r_lo, r_hi, n=None, beta=0.5, u_max=None, rho_max=None,
         "S_ru": (zero, zero),
     }
     march = {}
-    out, out_g = _march_system(coeffs, fields0, u_pos, cfl=cfl, hyper=hyper,
+    out, out_g = _march_system(coeffs, fields0, u_pos, _HYPER,
                                pin_right=pin_right, stats=march)
 
     # mirror: S, S_rho, S_rr even in u; S_u, S_ru odd
@@ -1077,7 +1008,7 @@ def build_entropy(flux, r_lo, r_hi, n=None, beta=0.5, u_max=None, rho_max=None,
     S_u = mirror(out["S_u"], -1)
     S_rr = mirror(out["S_rr"], +1)
     S_ru = mirror(out["S_ru"], -1)
-    del out, out_g      # the march levels; keep the peak down
+    del out, out_g, coeffs   # the march levels and rows; keep the peak down
 
     # S_uu from the equation; entropy flux from F_u = Psi_u S_rho + Phi_u
     # S_u with F(.,0) = 0; the flux fields are taken block by block

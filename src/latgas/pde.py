@@ -53,21 +53,6 @@ class LimitFlux:
     def Phi(self, rho, u):
         return np.asarray(rho) + self.gamma * np.asarray(u) ** 2
 
-    def Psi_rho(self, rho, u):
-        return np.broadcast_to(np.asarray(u, dtype=float),
-                               np.broadcast(rho, u).shape).copy()
-
-    def Psi_u(self, rho, u):
-        return np.broadcast_to(np.asarray(rho, dtype=float),
-                               np.broadcast(rho, u).shape).copy()
-
-    def Phi_rho(self, rho, u):
-        return np.ones(np.broadcast(rho, u).shape)
-
-    def Phi_u(self, rho, u):
-        return 2.0 * self.gamma * np.broadcast_to(np.asarray(u, dtype=float),
-                                                  np.broadcast(rho, u).shape).copy()
-
     def bundle(self, rho, u):
         """(Psi, Phi, Psi_rho, Psi_u, Phi_rho, Phi_u), broadcast once."""
         rho = np.asarray(rho, dtype=float)
@@ -87,7 +72,7 @@ class LimitFlux:
 
 
 class ModelFluxView:
-    """Adapter exposing a FluxPair with vectorized values and partials."""
+    """Adapter exposing a FluxPair with vectorized values and its bundle."""
 
     def __init__(self, flux_pair):
         self.fp = flux_pair
@@ -100,18 +85,6 @@ class ModelFluxView:
 
     def Phi(self, rho, u):
         return self.fp.Phi(rho, u)
-
-    def Psi_rho(self, rho, u):
-        return self.fp.Psi_rho(rho, u)
-
-    def Psi_u(self, rho, u):
-        return self.fp.Psi_u(rho, u)
-
-    def Phi_rho(self, rho, u):
-        return self.fp.Phi_rho(rho, u)
-
-    def Phi_u(self, rho, u):
-        return self.fp.Phi_u(rho, u)
 
     def bundle(self, rho, u):
         """(Psi, Phi, Psi_rho, Psi_u, Phi_rho, Phi_u) in one tilt solve."""
@@ -158,22 +131,6 @@ class ScaledFluxView:
     def Phi(self, rho, u):
         return self.base.Phi(self.a_r * np.asarray(rho), self.a_u * np.asarray(u)) \
             / self.a_r
-
-    def Psi_rho(self, rho, u):
-        return self.base.Psi_rho(self.a_r * np.asarray(rho),
-                                 self.a_u * np.asarray(u)) / self.a_u
-
-    def Psi_u(self, rho, u):
-        return self.base.Psi_u(self.a_r * np.asarray(rho),
-                               self.a_u * np.asarray(u)) / self.a_r
-
-    def Phi_rho(self, rho, u):
-        return self.base.Phi_rho(self.a_r * np.asarray(rho),
-                                 self.a_u * np.asarray(u))
-
-    def Phi_u(self, rho, u):
-        return self.base.Phi_u(self.a_r * np.asarray(rho),
-                               self.a_u * np.asarray(u)) / self.a_u
 
     def contains(self, rho, u, margin=0.0):
         return self.base.contains(self.a_r * np.asarray(rho),

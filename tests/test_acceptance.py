@@ -194,8 +194,7 @@ def test_criterion_5_pde_solver():
     worst_fd = 0.0
     for r, u in ((0.4, 0.1), (0.3, -0.2)):
         ed = eigenstructure(view, r, u)
-        D = np.array([[float(view.Psi_rho(r, u)), float(view.Psi_u(r, u))],
-                      [float(view.Phi_rho(r, u)), float(view.Phi_u(r, u))]])
+        D = np.array(view.bundle(r, u)[2:], dtype=float).reshape(2, 2)
         worst_fd = max(worst_fd, float(np.max(np.abs(D @ ed.r - ed.lam * ed.r))))
     ok = (all(abs(o - d) < 0.3 for o, d in orders.values())
           and const_err < 1e-12 and mean_err < 1e-10

@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import latgas.entropy as ent
 from latgas import native
-from latgas.entropy import (CharGeometry, D1, D2, D3, EntropyCoefficients,
-                            InterpolatedCoefficients, SingularStart,
-                            _march_system, build_entropy, char_slope,
-                            characteristic_curve, cutoff_profile,
+from latgas.entropy import (CharGeometry, D1, D2, D3, LimitRows, ModelRows,
+                            SingularStart, _march_system, build_entropy,
+                            char_slope, characteristic_curve, cutoff_profile,
                             d1_4, d2_4, max_box_in_d1, tabulated_slope,
                             verify_bounds)
 from latgas.pde import (LimitFlux, ModelFluxView, ScaledFluxView,
@@ -104,17 +103,22 @@ def test_classify_cases():
     assert geom.classify(0.0, 0.05) == D1          # small rho, nonzero u
     assert geom.classify(2.0, 0.0) == D2           # far above r_hi
     assert geom.classify(0.5, 0.0) == D3           # between the knots
-    # single-radius convention: the curve itself closes into D3
-    assert geom.classify_single_r(0.2, 0.0, 0.2) == D3
-    assert geom.classify_single_r(0.3, 0.0, 0.2) == D2
-    assert geom.classify_single_r(0.1, 0.0, 0.2) == D1
+    # closed boundary: the curves themselves belong to D3, the next
+    # float outside them does not
+    assert geom.classify(0.2, 0.0) == D3 and geom.classify(1.0, 0.0) == D3
+    for u in (0.0, 0.1):
+        lo = float(geom.sigma(-u, 0.2))
+        hi = float(geom.sigma(u, 1.0))
+        assert lo > 0
+        assert geom.classify(lo, u) == D3 and geom.classify(hi, u) == D3
+        assert geom.classify(np.nextafter(lo, 0.0), u) == D1
+        assert geom.classify(np.nextafter(hi, 2.0), u) == D2
     # nesting: D1(r) grows with r, D2 shrinks
     rng = np.random.default_rng(0)
     pts = rng.uniform(0, 1.5, size=(200, 2)) * np.array([1.0, 0.8])
-    lab_small = geom.classify_single_r(pts[:, 0], pts[:, 1], 0.2)
-    lab_big = geom.classify_single_r(pts[:, 0], pts[:, 1], 0.6)
-    assert np.all((lab_small != D1) | (lab_big == D1))
-    assert np.all((lab_big != D2) | (lab_small == D2))
+    au = np.abs(pts[:, 1])
+    for sign in (-1.0, 1.0):
+        assert np.all(geom.sigma(sign * au, 0.2) <= geom.sigma(sign * au, 0.6))
 
 
 def test_march_reproduces_polynomial_entropy(monkeypatch):
@@ -122,7 +126,6 @@ def test_march_reproduces_polynomial_entropy(monkeypatch):
     fl = LimitFlux(1.0)
     rho = np.linspace(0.0, 3.0, 301)
     u_levels = np.linspace(0.0, 0.6, 7)
-    coeffs = EntropyCoefficients(fl, rho)
     UU, RR = np.meshgrid(u_levels, rho, indexing="ij")
     exact = RR ** 2 + RR * UU ** 2 + UU ** 4 / 6.0
     cut = int((3.0 - 1.9 * 0.6 - 0.1) / 3.0 * 300)
@@ -130,18 +133,27 @@ def test_march_reproduces_polynomial_entropy(monkeypatch):
     # the compiled step (when a compiler works) and the numpy reference
     for kernel in (ent._resolve_kernel(), ent._numpy_stepper):
         monkeypatch.setattr(ent, "_kernel", kernel)
-        out, _ = _march_system(coeffs, {"S": (rho ** 2, np.zeros_like(rho))},
+        out, _ = _march_system(LimitRows(fl, rho, ("S",)),
+                               {"S": (rho ** 2, np.zeros_like(rho))},
                                u_levels, hyper=0.5)
         assert np.max(np.abs(out["S"] - exact)[:, 5:cut]) < 1e-10
         # and its rho-derivative under the kappa=1 equation
         stats = {}
-        out, _ = _march_system(coeffs,
+        out, _ = _march_system(LimitRows(fl, rho, ("S_rho",)),
                                {"S_rho": (2 * rho, np.zeros_like(rho))},
                                u_levels, hyper=0.5, stats=stats)
         assert np.max(np.abs(out["S_rho"] - (2 * RR + UU ** 2))
                       [:, 5:cut]) < 1e-10
         seen.append(stats["march_kernel"])
     assert seen[1] == "python"
+
+
+def test_march_rejects_rows_for_other_fields():
+    # the compiled step trusts the rows' shapes, so they must fit the fields
+    rho = np.linspace(0.0, 1.0, 20)
+    with pytest.raises(ValueError):
+        _march_system(LimitRows(LimitFlux(2.0), rho, ("S", "S_rho")),
+                      {"S": (rho, np.zeros_like(rho))}, [0.0, 0.1], 0.5)
 
 
 @pytest.fixture
@@ -155,16 +167,15 @@ def _model_march(two_lane_flux):
     S_rr/S_ru source coupling and the right-edge pins."""
     view = ScaledFluxView(ModelFluxView(two_lane_flux), 1000, 0.5)
     rho = np.linspace(0.0, 12.0, 160)
-    coeffs = InterpolatedCoefficients(EntropyCoefficients(view, rho),
-                                      0.0, 0.5, nodes=7)
-    bump = np.exp(-(rho - 5.0) ** 2)
     names = ("S", "S_rho", "S_u", "S_rr", "S_ru")
+    coeffs = ModelRows(view, rho, names, 0.0, 0.5, nodes=7)
+    bump = np.exp(-(rho - 5.0) ** 2)
     fields0 = {k: ((i + 1) * (bump + 0.05 * rho), (2 - i) * 0.1 * np.sin(rho))
                for i, k in enumerate(names)}
     pin = {k: (np.full_like(rho, 0.1 * i), np.zeros_like(rho))
            for i, k in enumerate(names)}
     stats = {}
-    f, g = _march_system(coeffs, fields0, np.linspace(0.0, 0.5, 6),
+    f, g = _march_system(coeffs, fields0, np.linspace(0.0, 0.5, 6), 0.3,
                          pin_right=pin, stats=stats)
     return f, g, stats
 
@@ -307,9 +318,11 @@ def test_fd_operators_exact_on_quartics():
 
 
 def test_limit_march_one_bundle_per_level(monkeypatch):
+    """The limit fluxes' rows are closed forms: the march makes no bundle
+    call at all (the build makes some outside it)."""
     import latgas.entropy as ent
 
-    inside, levels = [], []
+    inside, levels, calls = [], [], []
     march, bundle = ent._march_system, LimitFlux.bundle
 
     def tracked(*args, **kwargs):
@@ -320,19 +333,17 @@ def test_limit_march_one_bundle_per_level(monkeypatch):
             inside.pop()
 
     def counting(self, rho, u):
+        calls.append(1)
         if inside:
-            levels.append(float(u))
+            levels.append(u)
         return bundle(self, rho, u)
 
     monkeypatch.setattr(ent, "_march_system", tracked)
     monkeypatch.setattr(LimitFlux, "bundle", counting)
     tab = build_entropy(LimitFlux(2.0), 0.5, 0.5 * np.exp(4.0), u_max=0.6,
                         n_rho=400, n_u=20)
-    steps = tab.diagnostics["march_steps"]
-    assert steps > 0
-    # the march visits u, u + du/2 and u + du per step; one more call
-    # for the speed estimate at the top level
-    assert len(levels) <= 2 * steps + 2
+    assert tab.diagnostics["march_steps"] > 0
+    assert calls and levels == []
 
 
 def test_model_coefficients_one_tilt_solve_per_node(two_lane_flux,
@@ -348,8 +359,8 @@ def test_model_coefficients_one_tilt_solve_per_node(two_lane_flux,
 
     monkeypatch.setattr(latgas.fluxes, "invert_parameters_grid", counting)
     view = ScaledFluxView(ModelFluxView(two_lane_flux), 1000, 0.5)
-    coeffs = EntropyCoefficients(view, np.linspace(0.0, 20.0, 40))
-    InterpolatedCoefficients(coeffs, 0.0, 1.0, nodes=7)
+    ModelRows(view, np.linspace(0.0, 20.0, 40),
+              ("S", "S_rho", "S_u", "S_rr", "S_ru"), 0.0, 1.0, nodes=7)
     assert len(calls) == 7
 
 
@@ -357,6 +368,27 @@ def test_model_coefficients_one_tilt_solve_per_node(two_lane_flux,
 def small_table():
     return build_entropy(LimitFlux(2.0), 0.5, 0.5 * np.exp(4.0), u_max=1.2,
                          n_rho=1200, n_u=140)
+
+
+def test_limit_table_pinned(small_table):
+    """The limit-flux table: labels, D3 residual, compatibility and the
+    seven fitted constants."""
+    tab = small_table
+    labels = np.ascontiguousarray(tab.labels, dtype=np.int8).tobytes()
+    assert hashlib.sha256(labels).hexdigest() == (
+        "536fcbadc617ff97648af87cc051a0fbfa8029a01137eeefe93d21866a4a8081")
+    res = float(np.abs(tab.pde_residual())[tab.interior_mask()].max())
+    for got, want in ((res, 0.00020604467446787376),
+                      (tab.flux_compat_error(), 7.112409196185548e-05)):
+        assert abs(got - want) <= 1e-12 * want
+    pinned = {"S_rho-1D2": 0.9999974822427798, "S_u": 0.26586594232534255,
+              "S_rr": 1.9644002650662773, "S_ru": 1.6056229703747733,
+              "S_uu": 1.827921915081269, "F-PsiS_rho": 0.021225485289445466,
+              "1-S_rho": 1.0}
+    fits = verify_bounds(tab).fits
+    assert set(fits) == set(pinned)
+    for name, want in pinned.items():
+        assert abs(fits[name].constant - want) <= 1e-12 * abs(want)
 
 
 def test_table_exact_regions(small_table):
