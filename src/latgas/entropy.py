@@ -754,6 +754,7 @@ class EntropyTable:
     S_ru: np.ndarray
     S_uu: np.ndarray
     labels: np.ndarray       # (nu, nr) in {1,2,3}
+    Psi: np.ndarray          # (nu, nr) the density flux on the grid
     r_lo: float
     r_hi: float
     gamma: float
@@ -774,10 +775,6 @@ class EntropyTable:
 
     def meshgrid(self):
         return np.meshgrid(self.rho, self.u)
-
-    def d2_values(self):
-        logq = np.log(self.r_hi / self.r_lo)
-        return self.rho[None, :] - (self.r_hi - self.r_lo) / logq
 
     def interior_mask(self, margin_cells=5, singular_margin_cells=8,
                       kink_frac=0.14):
@@ -1066,7 +1063,7 @@ def build_entropy(flux, r_lo, r_hi, n=None, beta=0.5, u_max=None, n_rho=None,
         arr[in2] = (val2[in2] if isinstance(val2, np.ndarray) else val2)
 
     return EntropyTable(rho=rho, u=u_full, S=S, F=F, S_rho=S_rho, S_u=S_u,
-                        S_rr=S_rr, S_ru=S_ru, S_uu=S_uu, labels=labels,
+                        S_rr=S_rr, S_ru=S_ru, S_uu=S_uu, labels=labels, Psi=PsiRR,
                         r_lo=r_lo, r_hi=r_hi, gamma=view.gamma,
                         n=n, beta=(beta if n is not None else None),
                         flux=view, geometry=geom, diagnostics=diag)
@@ -1117,7 +1114,6 @@ def verify_bounds(table):
     RR, UU = table.meshgrid()
     logq = np.log(table.r_hi / table.r_lo)
     ind3 = table.labels == D3
-    PsiRR = np.asarray(table.flux.Psi(RR, UU), dtype=float)
     ind2 = (table.labels == D2).astype(float)
 
     quantities = {
@@ -1128,7 +1124,7 @@ def verify_bounds(table):
         "S_ru": (np.abs(table.S_ru),
                  1.0 / logq / (np.sqrt(table.r_lo) + np.sqrt(RR) + np.abs(UU))),
         "S_uu": (np.abs(table.S_uu), np.full_like(RR, 1.0 / logq)),
-        "F-PsiS_rho": (np.abs(table.F - PsiRR * table.S_rho),
+        "F-PsiS_rho": (np.abs(table.F - table.Psi * table.S_rho),
                        np.sqrt(table.r_hi) / logq * (table.r_hi + UU ** 2)),
         "1-S_rho": (np.abs(1.0 - table.S_rho), np.ones_like(RR)),
     }

@@ -262,7 +262,7 @@ def solve_cauchy(coeffs, s_tilde, t_tilde, w0, z0, m=129, source=None):
     """Evaluate f(w0, z0) from diagonal Cauchy data via the Riemann function.
 
         f(w0,z0) = (phi s~)(z0)/2 + (phi s~)(w0)/2
-                   + 1/2 int (phi t~ + (phi_w - phi_z) s~) dv
+                   + 1/2 int (phi t~ - (phi_w - phi_z) s~) dv
                    + int phi (beta - alpha) s~ dv   [+ triangle source term]
 
     The last diagonal term cancels when beta = alpha on the diagonal, which
@@ -277,7 +277,7 @@ def solve_cauchy(coeffs, s_tilde, t_tilde, w0, z0, m=129, source=None):
     ab = np.asarray(coeffs.beta(v, v), dtype=float) \
         - np.asarray(coeffs.alpha(v, v), dtype=float)
     out = 0.5 * phid[0] * sv[0] + 0.5 * phid[-1] * sv[-1]
-    out += 0.5 * np.trapezoid(phid * tv + gapd * sv, x=v)
+    out += 0.5 * np.trapezoid(phid * tv - gapd * sv, x=v)
     out += np.trapezoid(phid * ab * sv, x=v)
     if source is not None:
         W, Z = np.meshgrid(v, v, indexing="ij")

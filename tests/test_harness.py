@@ -79,24 +79,35 @@ def test_tail_domination(pm1):
     assert 0.05 < rep.C_rho < 10.0
 
 
+def test_tail_report_pinned(pm1):
+    # literals recorded with a searchsorted sampler and the tails recounted
+    # at every bisection step; both shortcuts must reproduce them bit for bit
+    rep = tail_checks(pm1, ScalingPlan(l=50), n=1000, samples=200_000, seed=11)
+    assert (rep.L, rep.C_rho, rep.C_u) == (50.0, 0.48708991969594323,
+                                           0.217219339237363)
+    assert (rep.violations_rho, rep.violations_u, rep.bins) == (0, 2, 24)
+
+
 def test_block_sampler_matches_comparison_formula(pm1):
-    # spins by counting the cumulative weights below each uniform draw, all
-    # draws taken at once; the sampler draws in chunks of 20000 at l = 50
+    # the sampler's spins against searchsorted on all draws taken at once;
+    # the sampler draws in chunks of 20000 at l = 50
+    from latgas import build_model
     from latgas.sim import philox_stream, weight_function
     from latgas.thermo import gibbs_measure, invert_parameters_grid
 
     plan, n, samples, seed = ScalingPlan(l=50), 1000, 25_000, 5
-    rho_hat, u_hat, l = _sample_blocks(pm1, plan, n, 0.5, 0.1, samples, seed)
-    assert l == 50
-    tau, theta, _ = invert_parameters_grid(pm1, 0.5, 0.1)
-    cum = np.cumsum(gibbs_measure(pm1, float(tau), float(theta)))
-    offs = np.arange(-l + 1, l)
-    draws = philox_stream(seed, 77).random((samples, offs.size))
-    spins = (draws[..., None] > cum[None, None, :]).sum(axis=-1)
-    wts = weight_function(offs / l) / l
-    assert np.allclose(rho_hat, pm1.eta[spins] @ wts, rtol=0, atol=1e-12)
-    assert np.allclose(u_hat, pm1.zeta[spins] @ wts, rtol=0, atol=1e-12)
-    assert np.array_equal(np.searchsorted(cum, draws), spins)
+    for model in (pm1, build_model("two-lane", gamma=1.25)):
+        rho_hat, u_hat, l = _sample_blocks(model, plan, n, 0.5, 0.1, samples, seed)
+        assert l == 50
+        tau, theta, _ = invert_parameters_grid(model, 0.5, 0.1)
+        cum = np.cumsum(gibbs_measure(model, float(tau), float(theta)))
+        offs = np.arange(-l + 1, l)
+        draws = philox_stream(seed, 77).random((samples, offs.size))
+        spins = np.searchsorted(cum, draws)
+        wts = weight_function(offs / l) / l
+        assert np.array_equal(rho_hat, model.eta[spins] @ wts)
+        assert np.array_equal(u_hat, model.zeta[spins] @ wts)
+        assert np.array_equal(spins, (draws[..., None] > cum[:-1]).sum(axis=-1))
 
 
 def test_tail_below_mean_trivial(pm1):

@@ -72,29 +72,34 @@ def _worker(src):
     print(json.dumps(out))
 
 
-def _run_worker(checkout):
-    res = subprocess.run([sys.executable, os.path.abspath(__file__), "--worker",
+def run_worker(script, checkout):
+    """Run ``script --worker CHECKOUT/src`` in a fresh process; return the
+    JSON object it prints last."""
+    res = subprocess.run([sys.executable, script, "--worker",
                           os.path.join(checkout, "src")],
                          capture_output=True, text=True, check=True)
     return json.loads(res.stdout.strip().splitlines()[-1])
 
 
-def _criterion_8(checkout):
+def criterion_times(checkout, num):
+    """Setup and call seconds of acceptance criterion ``num`` in ``checkout``,
+    from pytest's ``--durations``; a phase pytest does not list is left out."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
     res = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "tests/test_acceptance.py", "-k", "criterion_8", "--durations=0"],
+         "tests/test_acceptance.py", "-k", f"criterion_{num}_", "--durations=0"],
         cwd=checkout, env=env, capture_output=True, text=True)
     if res.returncode != 0:
-        raise RuntimeError(f"criterion 8 failed in {checkout}:\n{res.stdout}")
+        raise RuntimeError(f"criterion {num} failed in {checkout}:\n{res.stdout}")
     out = {}
     for phase in ("setup", "call"):
-        m = re.search(rf"([0-9.]+)s {phase}\s+\S*criterion_8", res.stdout)
-        out[f"criterion_8.{phase}_s"] = float(m.group(1))
+        m = re.search(rf"([0-9.]+)s {phase}\s+\S*criterion_{num}_", res.stdout)
+        if m:   # pytest leaves out durations under 5 ms
+            out[f"criterion_{num}.{phase}_s"] = float(m.group(1))
     return out
 
 
-def _summary(values):
+def quartiles(values):
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": med, "q1": q1, "q3": q3, "runs": values}
 
@@ -116,6 +121,43 @@ def _versions():
              "scipy": scipy.__version__})
 
 
+def alternate_pairs(parent, pairs, measure, out, command):
+    """Measure the parent checkout and this one in ``pairs`` alternating
+    pairs, which side goes first switching from pair to pair, and write
+    the median and quartiles of each row and side to ``out``.
+
+    ``measure(checkout)`` returns one flat dict of numbers.  A key's unit
+    is ns if it starts with ``ns_``, s if it ends with ``_s``, else count.
+    """
+    sides = {"parent": os.path.abspath(parent), "change": ROOT}
+    runs = {side: [] for side in sides}
+    for pair in range(pairs):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side in order:
+            row = measure(sides[side])
+            runs[side].append(row)
+            print(f"pair {pair + 1} {side}: {row}", file=sys.stderr)
+    rows = {}
+    for key in runs["change"][0]:
+        unit = ("ns" if key.startswith("ns_") else "s" if key.endswith("_s")
+                else "count")
+        rows[key] = {"unit": unit,
+                     **{side: quartiles([r[key] for r in runs[side]])
+                        for side in sides}}
+    machine, versions = _versions()
+    result = {"command": command, "pairs": pairs, "machine": machine,
+              "versions": versions, "rows": rows}
+    with open(out, "w") as fh:
+        json.dump(result, fh, indent=2)
+        fh.write("\n")
+    for key, row in rows.items():
+        print(f"{key}: parent {row['parent']['median']:.4g} "
+              f"[{row['parent']['q1']:.4g}, {row['parent']['q3']:.4g}] -> "
+              f"change {row['change']['median']:.4g} "
+              f"[{row['change']['q1']:.4g}, {row['change']['q3']:.4g}] "
+              f"{row['unit']}")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", help="checkout to compare against")
@@ -128,36 +170,11 @@ def main(argv=None):
         return 0
     if not args.parent:
         ap.error("--parent is required")
-    sides = {"parent": os.path.abspath(args.parent), "change": ROOT}
-    runs = {side: [] for side in sides}
-    for pair in range(args.pairs):
-        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-        for side in order:
-            row = _run_worker(sides[side])
-            row.update(_criterion_8(sides[side]))
-            runs[side].append(row)
-            print(f"pair {pair + 1} {side}: {row}", file=sys.stderr)
-    rows = {}
-    for key in runs["change"][0]:
-        unit = ("ns" if key.startswith("ns_") else "s" if key.endswith("_s")
-                else "count")
-        rows[key] = {"unit": unit,
-                     **{side: _summary([r[key] for r in runs[side]])
-                        for side in sides}}
-    machine, versions = _versions()
-    result = {"command": "python tools/bench_tilt.py --parent PATH --pairs "
-                         f"{args.pairs}",
-              "pairs": args.pairs, "machine": machine, "versions": versions,
-              "rows": rows}
-    with open(args.out, "w") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
-    for key, row in rows.items():
-        print(f"{key}: parent {row['parent']['median']:.4g} "
-              f"[{row['parent']['q1']:.4g}, {row['parent']['q3']:.4g}] -> "
-              f"change {row['change']['median']:.4g} "
-              f"[{row['change']['q1']:.4g}, {row['change']['q3']:.4g}] "
-              f"{row['unit']}")
+    alternate_pairs(args.parent, args.pairs,
+                    lambda checkout: {**run_worker(os.path.abspath(__file__), checkout),
+                                      **criterion_times(checkout, 8)},
+                    args.out,
+                    f"python tools/bench_tilt.py --parent PATH --pairs {args.pairs}")
     return 0
 
 
