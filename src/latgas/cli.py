@@ -21,10 +21,12 @@ def _versions():
     from . import __version__
     from .entropy import march_kernel
     from .sim import event_kernel
+    from .thermo import tilt_kernel
 
     return {"latgas": __version__, "numpy": np.__version__,
             "scipy": scipy.__version__, "python": sys.version.split()[0],
-            "event_kernel": event_kernel(), "march_kernel": march_kernel()}
+            "event_kernel": event_kernel(), "march_kernel": march_kernel(),
+            "tilt_kernel": tilt_kernel()}
 
 
 def _write_manifest(out_dir, command, params, outputs, error=None):

@@ -28,6 +28,7 @@ from scipy.interpolate import PchipInterpolator
 
 from . import native
 from .pde import LimitFlux, riemann_invariants, wave_speeds
+from .thermo import tilt_kernel
 
 
 class SingularStart(ValueError):
@@ -170,7 +171,6 @@ class CharGeometry:
     r_lo: float
     r_hi: float
     u_max: float
-    r0: float = None
     curves: dict = field(default_factory=dict)
     C1: float = None
     C2: float = None
@@ -192,8 +192,6 @@ class CharGeometry:
             self._slope_fn = None
         for r in (self.r_lo, self.r_hi):
             self._add_curve(r)
-        if self.r0 is None:
-            self.r0 = self._find_r0()
         self._fit_constants()
 
     def _add_curve(self, r):
@@ -205,22 +203,6 @@ class CharGeometry:
         if r not in self.curves:
             self._add_curve(r)
         return np.maximum(self.curves[r](u), 0.0)
-
-    def _find_r0(self):
-        # largest starting radius (capped) whose curve stays inside the domain
-        r = 4.0 * self.r_hi
-        while not bool(np.all(self.flux.contains(r, 0.0))) and r > self.r_hi:
-            r *= 0.8
-        for _ in range(30):
-            try:
-                us, rhos = characteristic_curve(self.flux, r, self.u_max * 1.05,
-                                                slope_fn=self._slope_fn)
-                if np.all(self.flux.contains(rhos, us)):
-                    return r
-            except Exception:
-                pass
-            r *= 0.8
-        return 2.0 * self.r_hi
 
     def _fit_constants(self):
         """Sandwich constants: r + C1 sqrt(r) u <= sigma <= r + C2 sqrt(r) u
@@ -908,8 +890,9 @@ def build_entropy(flux, r_lo, r_hi, n=None, beta=0.5, u_max=None, n_rho=None,
     with exponent ``beta``; by scale invariance this is the finite-n cutoff
     entropy expressed in scaled variables, with the same initial profile.
     For a model flux the diagnostics record the tilt solves made during the
-    build: ``tilt_solves``, ``newton_iterations`` (the largest count) and
-    ``newton_residual`` (the worst relative density residual).
+    build: ``tilt_solves``, ``newton_iterations`` (the largest count),
+    ``newton_residual`` (the worst relative density residual) and
+    ``tilt_kernel`` (``"c"`` or ``"python"``).
     """
     from .pde import ScaledFluxView
 
@@ -1038,15 +1021,15 @@ def build_entropy(flux, r_lo, r_hi, n=None, beta=0.5, u_max=None, n_rho=None,
     diag["overlap_D2_Srho"] = float(np.max(np.abs(S_rho[far2] - 1.0), initial=0.0))
     diag["overlap_D1_F"] = float(np.max(np.abs(F[far1]), initial=0.0))
     diag["overlap_D2_F"] = float(np.max(np.abs(F[far2] - PsiRR[far2]), initial=0.0))
-    diag["C1"], diag["C2"], diag["r0"] = geom.C1, geom.C2, geom.r0
-    diag["r0_canonical"] = False    # adaptive choice, flagged as such
+    diag["C1"], diag["C2"] = geom.C1, geom.C2
     # coefficient_s: coefficient tables before the march plus rows built in it
     march["coefficient_s"] += table_s
     diag.update(march)
     if newton is not None:
         diag.update(tilt_solves=newton.calls,
                     newton_iterations=newton.iterations,
-                    newton_residual=newton.residual)
+                    newton_residual=newton.residual,
+                    tilt_kernel=tilt_kernel())
 
     tol_overlap = 5e-3 * max(1.0, np.max(np.abs(S)))
     if max(diag["overlap_D1"], diag["overlap_D2"]) > tol_overlap:

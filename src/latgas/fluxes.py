@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import microscopic_fluxes
-from .thermo import DomainPolygon, NewtonLog, invert_parameters_grid
+from .thermo import (DomainPolygon, NewtonLog, invert_parameters_grid,
+                     pair_moments, site_table)
 
 
 class NormalizationWarning(UserWarning):
@@ -56,8 +57,9 @@ class FluxPair:
     domain: DomainPolygon
     gamma: float = None
     psi_ru_origin: float = None
-    _psi_tab: np.ndarray = field(default=None, repr=False)
-    _phi_tab: np.ndarray = field(default=None, repr=False)
+    # the (2, k, k) pair-current tables of Psi and Phi_raw
+    _tabs: np.ndarray = field(default=None, repr=False)
+    _site: np.ndarray = field(default=None, repr=False)
     _phi_origin: float = field(default=None, repr=False)
     # the tilt solves made by this flux (``build_entropy`` reads it)
     newton: NewtonLog = field(default_factory=NewtonLog, repr=False,
@@ -65,8 +67,8 @@ class FluxPair:
 
     def __post_init__(self):
         psi, phi, _, _ = microscopic_fluxes(self.model)
-        self._psi_tab = psi
-        self._phi_tab = phi
+        self._tabs = np.array([psi, phi], dtype=float)
+        self._site = site_table(self.model)
         if self._phi_origin is None:
             # Phi_raw on the boundary segment rho=0: corner extrapolation
             self._phi_origin = _corner_limit(lambda r, u: self._raw(r, u)[1])
@@ -93,12 +95,16 @@ class FluxPair:
         self.newton.record(sol)
         return sol.p.reshape(-1, self.model.nstates), shape
 
+    def _pair_moments(self, rho, u):
+        """``thermo.pair_moments`` of Psi's and Phi_raw's tables at the
+        solved tilt, and the shape of the points."""
+        p, shape = self._tilted(rho, u)
+        return pair_moments(self._site, p, self._tabs), shape
+
     def _raw(self, rho, u):
         """(Psi, Phi_raw) by exact double sums; accepts arrays."""
-        p, shape = self._tilted(rho, u)
-        psi = np.einsum("ia,ab,ib->i", p, self._psi_tab, p)
-        phi = np.einsum("ia,ab,ib->i", p, self._phi_tab, p)
-        return psi.reshape(shape), phi.reshape(shape)
+        out, shape = self._pair_moments(rho, u)
+        return out[0].reshape(shape), out[3].reshape(shape)
 
     def _raw_with_grads(self, rho, u, site_cov=False):
         """Fluxes plus exact first partials via the covariance chain rule.
@@ -108,32 +114,14 @@ class FluxPair:
         covariance matrix, so no finite differencing is involved.  This stays
         well defined arbitrarily close to the rho = 0 edge.  With
         ``site_cov`` the single-site (Var eta, Cov, Var zeta) of the same
-        tilt are returned as well.
+        tilt are returned as well.  Psi and Phi equal ``_raw``'s bitwise.
         """
-        p, shape = self._tilted(rho, u)
-        m = self.model
-        e, z = m.eta.astype(float), m.zeta
-        mean_e = p @ e
-        mean_z = p @ z
-        c11 = p @ (e * e) - mean_e ** 2
-        c12 = p @ (e * z) - mean_e * mean_z
-        c22 = p @ (z * z) - mean_z ** 2
-        det = c11 * c22 - c12 * c12
-        out = []
-        for tab in (self._psi_tab, self._phi_tab):
-            # the contraction of _raw, so Psi and Phi equal bundle's bitwise
-            val = np.einsum("ia,ab,ib->i", p, tab, p)
-            # Cov(f, eta_1 + eta_2) and Cov(f, zeta_1 + zeta_2)
-            both = (p @ tab) * p + (p @ tab.T) * p
-            d_tau = both @ e - 2.0 * mean_e * val
-            d_theta = both @ z - 2.0 * mean_z * val
-            d_rho = (d_tau * c22 - d_theta * c12) / det
-            d_u = (-d_tau * c12 + d_theta * c11) / det
-            out.append((val.reshape(shape), d_rho.reshape(shape),
-                        d_u.reshape(shape)))
+        out, shape = self._pair_moments(rho, u)
+        rows = [row.reshape(shape) for row in out]
+        pairs = [tuple(rows[0:3]), tuple(rows[3:6])]
         if site_cov:
-            return out, tuple(c.reshape(shape) for c in (c11, c12, c22))
-        return out
+            return pairs, tuple(rows[6:])
+        return pairs
 
     def bundle(self, rho, u):
         """(Psi, Phi, Psi_rho, Psi_u, Phi_rho, Phi_u) from one tilt solve."""

@@ -5,10 +5,13 @@ inversion from densities (rho, u) back to chemical potentials (tau, theta).
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import ConvexHull
+
+from . import native
 
 
 class OutOfDomain(ValueError):
@@ -28,13 +31,16 @@ def tilted(model, tau, theta):
     is elementwise over the points, and ``Z`` sums the states one at a time,
     so no point's measure depends on the others in the call.
     """
-    pi = model.pi
-    logpi = np.log(pi, where=pi > 0, out=np.full(model.nstates, -np.inf))
+    return _tilted_site(site_table(model), tau, theta)
+
+
+def _tilted_site(site, tau, theta):
+    """``tilted`` from the rows of ``site_table``."""
     tau = np.asarray(tau, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    col = (model.nstates,) + (1,) * max(tau.ndim, theta.ndim)
-    x = model.eta.reshape(col) * tau + model.zeta.reshape(col) * theta
-    x += logpi.reshape(col)
+    col = (site.shape[1],) + (1,) * max(tau.ndim, theta.ndim)
+    x = site[1].reshape(col) * tau + site[2].reshape(col) * theta
+    x += site[0].reshape(col)
     xm = x.max(axis=0)
     x -= xm
     w = np.exp(x, out=x)
@@ -153,57 +159,56 @@ class NewtonLog:
         self.calls, self.iterations, self.residual = 0, 0, 0.0
 
 
-def invert_parameters_grid(model, rho, u, tol=1e-12, max_iter=100):
-    """Vectorized Newton solve of grad G(tau, theta) = (rho, u).
-
-    Works on arrays of targets; the Hessian of G is the (eta, zeta)
-    covariance, positive definite in the interior of the domain.  Returns
-    a ``Tilt``.
-
-    A point stops once ``|m_rho - rho| < tol * min(1, rho)`` and
-    ``|m_u - u| < tol``, relative in rho so that low densities keep their
-    digits.  Below the reference density ``m0 = E_pi[eta]`` the solve
-    starts from the low-density asymptote ``tau = log(rho / m0)``
-    (``theta = 0``), else from (0, 0).  Converged points leave the working
-    arrays, which are compacted only in iterations where some point
-    converged; every point takes the same arithmetic whatever else shares
-    the call.
-    """
-    rho = np.asarray(rho, dtype=float)
-    u = np.asarray(u, dtype=float)
-    shape = np.broadcast(rho, u).shape
-    rho_f = np.broadcast_to(rho, shape).reshape(-1)
-    u_f = np.broadcast_to(u, shape).reshape(-1)
-    npts = rho_f.size
+def site_table(model):
+    """The ``(6, k)`` rows the tilt kernels read: ``log pi`` (``-inf`` where
+    ``pi = 0``), then the weights of the five moment sums ``eta``, ``zeta``,
+    ``eta^2``, ``eta zeta`` and ``zeta^2``."""
+    pi = model.pi
+    logpi = np.log(pi, where=pi > 0, out=np.full(model.nstates, -np.inf))
     eta, zeta = model.eta, model.zeta
-    # weights of the five state sums: m_rho, m_u and the second moments
-    wts = np.array([eta, zeta, eta * eta, eta * zeta, zeta * zeta], dtype=float)
-    m0 = float(model.pi @ eta)
+    return np.array([logpi, eta, zeta, eta * eta, eta * zeta, zeta * zeta],
+                    dtype=float)
+
+
+def _sum_terms(a, w):
+    """``a[0] w[0] + a[1] w[1] + ...`` summed left to right, the order the
+    compiled kernels use."""
+    s = a[0] * w[0]
+    for j in range(1, len(a)):
+        s += a[j] * w[j]
+    return s
+
+
+def _invert_py(site, m0, rho, u, tol, max_iter):
+    """Newton solve of every point in numpy; the reference for the compiled
+    ``invert_tilt``.  Returns ``(res, p, iterations, worst, bad)``: the
+    ``(3, n)`` rows tau, theta, G, the ``(n, k)`` measures, and the index of
+    the first point that did not converge (-1 if all did)."""
+    npts = rho.size
+    wts = site[1:]
     tau = np.zeros(npts)
-    np.log(rho_f / m0, out=tau, where=(rho_f > 0) & (rho_f < m0))
+    np.log(rho / m0, out=tau, where=(rho > 0) & (rho < m0))
     theta = np.zeros(npts)
-    tol_rho = tol * np.minimum(1.0, rho_f)
-    out_tau, out_theta, out_G = np.empty(npts), np.empty(npts), np.empty(npts)
-    out_p = np.empty((model.nstates, npts))
+    tol_rho = tol * np.minimum(1.0, rho)
+    res = np.empty((3, npts))
+    out_p = np.empty((site.shape[1], npts))
     # the working arrays: positions, targets and iterates of open points
-    idx, r, v, tr = np.arange(npts), rho_f, u_f, tol_rho
+    idx, r, v, tr = np.arange(npts), rho, u, tol_rho
     iterations, worst = 0, 0.0
     for it in range(max_iter):
         if not idx.size:
             break
-        p, xm, Z = tilted(model, tau, theta)
+        p, xm, Z = _tilted_site(site, tau, theta)
         pT = p.T    # (k, points), contiguous
-        mom = wts[:, :1] * pT[0]
-        for j in range(1, model.nstates):
-            mom += wts[:, j:j + 1] * pT[j]
+        mom = _sum_terms(pT, wts.T[:, :, None])
         f1 = mom[0] - r
         f2 = mom[1] - v
         ok = (np.abs(f1) < tr) & (np.abs(f2) < tol)
         if ok.any():
             done = idx[ok]
-            out_tau[done], out_theta[done] = tau[ok], theta[ok]
+            res[0, done], res[1, done] = tau[ok], theta[ok]
             # G from the last iteration's tilt at the returned (tau, theta)
-            out_G[done] = xm[ok] + np.log(Z[ok])
+            res[2, done] = xm[ok] + np.log(Z[ok])
             out_p[:, done] = pT[:, ok]
             worst = max(worst, float(np.max(np.abs(f1[ok]) / r[ok])))
             iterations = it + 1
@@ -216,9 +221,9 @@ def invert_parameters_grid(model, rho, u, tol=1e-12, max_iter=100):
             f1, f2 = f1[keep], f2[keep]
         # 2x2 Newton step with the covariance matrix
         m_rho, m_u = mom[0], mom[1]
-        c11 = mom[2] - m_rho ** 2
+        c11 = mom[2] - m_rho * m_rho
         c12 = mom[3] - m_rho * m_u
-        c22 = mom[4] - m_u ** 2
+        c22 = mom[4] - m_u * m_u
         det = c11 * c22 - c12 * c12
         det = np.where(np.abs(det) < 1e-300, np.nan, det)
         dtau = (c22 * f1 - c12 * f2) / det
@@ -228,13 +233,283 @@ def invert_parameters_grid(model, rho, u, tol=1e-12, max_iter=100):
         lim = np.minimum(1.0, 5.0 / np.maximum(step, 1e-300))
         tau -= lim * dtau
         theta -= lim * dtheta
-    if idx.size:
+    bad = int(idx[0]) if idx.size else -1
+    return res, out_p.T, iterations, worst, bad
+
+
+def _pair_moments_py(site, p, tabs):
+    """Pair expectations in numpy by the compiled ``pair_moments`` loops:
+    every sum runs over the states in order, elementwise over the points."""
+    e, z, ee, ez, zz = site[1:]
+    cols = [p[:, a] for a in range(p.shape[1])]
+    k = len(cols)
+    out = np.empty((3 * len(tabs) + 3, p.shape[0]))
+    mean_e, mean_z = _sum_terms(cols, e), _sum_terms(cols, z)
+    c11 = _sum_terms(cols, ee) - mean_e * mean_e
+    c12 = _sum_terms(cols, ez) - mean_e * mean_z
+    c22 = _sum_terms(cols, zz) - mean_z * mean_z
+    det = c11 * c22 - c12 * c12
+    for t, tab in enumerate(tabs):
+        q = [_sum_terms(cols, tab[a]) for a in range(k)]      # (tab p)_a
+        r = [_sum_terms(cols, tab[:, b]) for b in range(k)]   # (p tab)_b
+        val = _sum_terms(cols, q)
+        # Cov(f, eta_1 + eta_2) and Cov(f, zeta_1 + zeta_2)
+        both = [r[b] * cols[b] + q[b] * cols[b] for b in range(k)]
+        d_tau = _sum_terms(both, e) - 2.0 * mean_e * val
+        d_theta = _sum_terms(both, z) - 2.0 * mean_z * val
+        out[3 * t] = val
+        out[3 * t + 1] = (d_tau * c22 - d_theta * c12) / det
+        out[3 * t + 2] = (-d_tau * c12 + d_theta * c11) / det
+    out[-3], out[-2], out[-1] = c11, c12, c22
+    return out
+
+
+# The Newton solve of _invert_py and the pair sums of _pair_moments_py.
+# Every value is formed by the same operations in the same order as the
+# numpy loops; only exp and log come from the C library instead of numpy's
+# own, which may round differently in the last bit.  Built without FMA
+# contraction so the result does not depend on the compiler.
+_TILT_SOURCE = r"""
+#include <math.h>
+#include <stdint.h>
+
+/* site: (6, k) rows log pi, eta, zeta, eta^2, eta zeta, zeta^2 */
+static double sum_terms(const double *a, const double *w, int64_t k)
+{
+    double s = a[0] * w[0];
+    for (int64_t j = 1; j < k; j++)
+        s += a[j] * w[j];
+    return s;
+}
+
+/* res: (3, n) tau, theta, G; p: (n, k); stats: iterations, worst relative
+   density residual.  Returns the first point that did not converge, or -1.
+   Points go in blocks, iterations outer and the block's open points inner,
+   so the processor overlaps the independent points' dependency chains;
+   tau and theta live in res from the seed on. */
+#define BLOCK 256
+int64_t invert_tilt(int64_t k, const double *site, double m0, int64_t n,
+                    const double *rho, const double *u, double tol,
+                    int64_t max_iter, double *res, double *p, double *stats)
+{
+    const double *logpi = site, *w = site + k;
+    double *tau = res, *theta = res + n, *G = res + 2 * n;
+    int64_t open[BLOCK], iterations = 0;
+    double worst = 0.0;
+    for (int64_t b0 = 0; b0 < n; b0 += BLOCK) {
+        int64_t nopen = n - b0 < BLOCK ? n - b0 : BLOCK;
+        for (int64_t q = 0; q < nopen; q++) {
+            int64_t i = b0 + q;
+            double r = rho[i];
+            open[q] = i;
+            tau[i] = r > 0 && r < m0 ? log(r / m0) : 0.0;
+            theta[i] = 0.0;
+        }
+        for (int64_t it = 0; it < max_iter && nopen; it++) {
+            int64_t kept = 0;
+            for (int64_t q = 0; q < nopen; q++) {
+                int64_t i = open[q];
+                double r = rho[i], *x = p + i * k, mom[5];
+                for (int64_t j = 0; j < k; j++)
+                    x[j] = w[j] * tau[i] + w[k + j] * theta[i] + logpi[j];
+                /* the max propagates NaN, as numpy's does */
+                double xm = x[0];
+                for (int64_t j = 1; j < k; j++)
+                    if (!(x[j] <= xm) && xm == xm)
+                        xm = x[j];
+                /* exp(0) = 1 exactly: the largest state needs no call */
+                double Z = 0.0;
+                for (int64_t j = 0; j < k; j++) {
+                    x[j] = x[j] - xm == 0.0 ? 1.0 : exp(x[j] - xm);
+                    Z += x[j];
+                }
+                for (int64_t j = 0; j < k; j++)
+                    x[j] = x[j] / Z;
+                for (int c = 0; c < 5; c++)
+                    mom[c] = sum_terms(x, w + c * k, k);
+                double f1 = mom[0] - r, f2 = mom[1] - u[i];
+                if (fabs(f1) < tol * (r < 1.0 ? r : 1.0) && fabs(f2) < tol) {
+                    G[i] = xm + log(Z);
+                    if (fabs(f1) / r > worst)
+                        worst = fabs(f1) / r;
+                    iterations = it + 1 > iterations ? it + 1 : iterations;
+                    continue;
+                }
+                /* 2x2 Newton step with the covariance matrix */
+                double c11 = mom[2] - mom[0] * mom[0];
+                double c12 = mom[3] - mom[0] * mom[1];
+                double c22 = mom[4] - mom[1] * mom[1];
+                double det = c11 * c22 - c12 * c12;
+                if (fabs(det) < 1e-300)
+                    det = NAN;
+                double dtau = (c22 * f1 - c12 * f2) / det;
+                double dtheta = (-c12 * f1 + c11 * f2) / det;
+                /* trust region keeps iterates from overshooting; the step
+                   is cut only above length 5, and |dtau| + |dtheta| <= 5
+                   bounds the length without calling hypot */
+                double lim = 1.0;
+                if (!(fabs(dtau) + fabs(dtheta) <= 5.0)) {
+                    double step = hypot(dtau, dtheta);
+                    lim = 5.0 / (step > 1e-300 ? step : 1e-300);
+                    lim = lim < 1.0 ? lim : 1.0;
+                }
+                tau[i] = tau[i] - lim * dtau;
+                theta[i] = theta[i] - lim * dtheta;
+                open[kept++] = i;
+            }
+            nopen = kept;
+        }
+        if (nopen)
+            return open[0];
+    }
+    stats[0] = (double)iterations;
+    stats[1] = worst;
+    return -1;
+}
+
+/* out: (3 ntab + 3, n) rows val, d_rho, d_u per (k, k) table of tabs, then
+   the site covariances c11, c12, c22 */
+void pair_moments(int64_t k, const double *site, int64_t n, const double *p,
+                  int64_t ntab, const double *tabs, double *out)
+{
+    const double *e = site + k, *z = site + 2 * k;
+    double q[k], r[k], both[k];
+    for (int64_t i = 0; i < n; i++) {
+        const double *pi = p + i * k;
+        double mean_e = sum_terms(pi, e, k), mean_z = sum_terms(pi, z, k);
+        double c11 = sum_terms(pi, site + 3 * k, k) - mean_e * mean_e;
+        double c12 = sum_terms(pi, site + 4 * k, k) - mean_e * mean_z;
+        double c22 = sum_terms(pi, site + 5 * k, k) - mean_z * mean_z;
+        double det = c11 * c22 - c12 * c12;
+        for (int64_t t = 0; t < ntab; t++) {
+            const double *tab = tabs + t * k * k;
+            for (int64_t a = 0; a < k; a++) {
+                q[a] = pi[0] * tab[a * k];
+                r[a] = pi[0] * tab[a];
+                for (int64_t b = 1; b < k; b++) {
+                    q[a] += pi[b] * tab[a * k + b];
+                    r[a] += pi[b] * tab[b * k + a];
+                }
+            }
+            double val = sum_terms(pi, q, k);
+            for (int64_t b = 0; b < k; b++)
+                both[b] = r[b] * pi[b] + q[b] * pi[b];
+            double d_tau = sum_terms(both, e, k) - 2.0 * mean_e * val;
+            double d_theta = sum_terms(both, z, k) - 2.0 * mean_z * val;
+            out[3 * t * n + i] = val;
+            out[(3 * t + 1) * n + i] = (d_tau * c22 - d_theta * c12) / det;
+            out[(3 * t + 2) * n + i] = (-d_tau * c12 + d_theta * c11) / det;
+        }
+        out[3 * ntab * n + i] = c11;
+        out[(3 * ntab + 1) * n + i] = c12;
+        out[(3 * ntab + 2) * n + i] = c22;
+    }
+}
+"""
+_TILT_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+
+_kernel = None       # resolved on first use by _resolve_kernel
+_PYTHON = (_invert_py, _pair_moments_py)
+
+
+def _load_c_kernel():
+    """``(invert, pair_moments)`` around the compiled kernels, with the
+    signatures of the numpy ones; None when there is no compiler or the
+    build fails."""
+    lib = native.load("tilt", _TILT_SOURCE, _TILT_FLAGS)
+    if lib is None:
+        return None
+    i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    inv, pm = lib.invert_tilt, lib.pair_moments
+    inv.argtypes = [i64, ptr, dbl, i64, ptr, ptr, dbl, i64, ptr, ptr, ptr]
+    inv.restype = i64
+    pm.argtypes = [i64, ptr, i64, ptr, i64, ptr, ptr]
+    pm.restype = None
+
+    def invert(site, m0, rho, u, tol, max_iter):
+        k, npts = site.shape[1], rho.size
+        res, p, stats = np.empty((3, npts)), np.empty((npts, k)), np.zeros(2)
+        bad = inv(k, site.ctypes.data, m0, npts, rho.ctypes.data,
+                  u.ctypes.data, tol, max_iter, res.ctypes.data,
+                  p.ctypes.data, stats.ctypes.data)
+        return res, p, int(stats[0]), float(stats[1]), bad
+
+    def pair_moments(site, p, tabs):
+        k, npts = site.shape[1], p.shape[0]
+        site = np.ascontiguousarray(site, dtype=float)
+        p = np.ascontiguousarray(p, dtype=float)
+        tabs = np.ascontiguousarray(tabs, dtype=float)
+        out = np.empty((3 * len(tabs) + 3, npts))
+        pm(k, site.ctypes.data, npts, p.ctypes.data, len(tabs),
+           tabs.ctypes.data, out.ctypes.data)
+        return out
+
+    return invert, pair_moments
+
+
+def _resolve_kernel():
+    global _kernel
+    if _kernel is None:
+        _kernel = _load_c_kernel() or _PYTHON
+    return _kernel
+
+
+def tilt_kernel():
+    """Which tilt kernels run: ``"c"`` or ``"python"``."""
+    return "python" if _resolve_kernel() is _PYTHON else "c"
+
+
+def invert_parameters_grid(model, rho, u, tol=1e-12, max_iter=100):
+    """Vectorized Newton solve of grad G(tau, theta) = (rho, u).
+
+    Works on arrays of targets; the Hessian of G is the (eta, zeta)
+    covariance, positive definite in the interior of the domain.  Returns
+    a ``Tilt``.
+
+    A point stops once ``|m_rho - rho| < tol * min(1, rho)`` and
+    ``|m_u - u| < tol``, relative in rho so that low densities keep their
+    digits.  Below the reference density ``m0 = E_pi[eta]`` the solve
+    starts from the low-density asymptote ``tau = log(rho / m0)``
+    (``theta = 0``), else from (0, 0).  Each point takes the same
+    arithmetic whatever else shares the call.  The solve runs in a compiled
+    kernel when a C compiler works (``tilt_kernel()``), in numpy otherwise;
+    the two differ only in the last bits of exp and log.
+    """
+    rho = np.asarray(rho, dtype=float)
+    u = np.asarray(u, dtype=float)
+    shape = np.broadcast(rho, u).shape
+    rho_f = np.ascontiguousarray(np.broadcast_to(rho, shape).reshape(-1))
+    u_f = np.ascontiguousarray(np.broadcast_to(u, shape).reshape(-1))
+    site = site_table(model)
+    m0 = float(model.pi @ model.eta)
+    res, p, iterations, worst, bad = _resolve_kernel()[0](
+        site, m0, rho_f, u_f, tol, max_iter)
+    if bad >= 0:
         raise NonConvergence(
-            f"Newton failed at (rho,u)=({rho_f[idx[0]]:.6g},{u_f[idx[0]]:.6g})")
-    return Tilt(out_tau.reshape(shape), out_theta.reshape(shape),
-                out_G.reshape(shape),
-                out_p.T.reshape(shape + (model.nstates,)),
+            f"Newton failed at (rho,u)=({rho_f[bad]:.6g},{u_f[bad]:.6g})")
+    return Tilt(res[0].reshape(shape), res[1].reshape(shape),
+                res[2].reshape(shape), p.reshape(shape + (model.nstates,)),
                 iterations, worst)
+
+
+def pair_moments(site, p, tabs):
+    """Expectations of pair currents under product tilted measures.
+
+    ``site`` is ``site_table(model)``, ``p`` the ``(n, k)`` tilted measures
+    and ``tabs`` a stack of ``(k, k)`` pair-current tables f(a, b).  Returns
+    a ``(3 len(tabs) + 3, n)`` array: for each table the value
+    ``sum_ab p_a f(a, b) p_b`` and its exact partials in rho and u (the
+    covariance chain rule), then the single-site ``Var eta``,
+    ``Cov(eta, zeta)`` and ``Var zeta``.  Every sum runs over the states in
+    a fixed order, so a point's values do not depend on the other points.
+    """
+    k = site.shape[1]
+    if not (site.shape == (6, k) and np.ndim(p) == 2 and np.shape(p)[1] == k
+            and np.ndim(tabs) == 3 and np.shape(tabs)[1:] == (k, k)):
+        raise ValueError(f"need a (6, k) site table, (n, k) measures and "
+                         f"(ntab, k, k) tables; got {site.shape}, "
+                         f"{np.shape(p)} and {np.shape(tabs)}")
+    return _resolve_kernel()[1](site, p, tabs)
 
 
 def invert_parameters(model, rho, u, domain=None, tol=1e-12, max_iter=100):

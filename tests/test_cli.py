@@ -43,6 +43,7 @@ def test_manifest_roundtrip(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["versions"]["event_kernel"] in ("c", "python")
     assert manifest["versions"]["march_kernel"] in ("c", "python")
+    assert manifest["versions"]["tilt_kernel"] in ("c", "python")
     rc = main(["rerun", str(out / "manifest.json")])
     assert rc == 0
     assert (out / "pde.csv").read_bytes() == first

@@ -14,6 +14,7 @@ from latgas.entropy import (CharGeometry, D1, D2, D3, LimitRows, ModelRows,
                             verify_bounds)
 from latgas.pde import (LimitFlux, ModelFluxView, ScaledFluxView,
                         riemann_invariants)
+from latgas.thermo import tilt_kernel
 
 
 @given(st.floats(0.05, 2.0), st.floats(1.5, 40.0))
@@ -297,6 +298,7 @@ def test_scaled_two_lane_table_pinned():
     assert diag["tilt_solves"] > 0
     assert diag["newton_iterations"] <= 10
     assert 0.0 < diag["newton_residual"] < 1e-12
+    assert diag["tilt_kernel"] == tilt_kernel()
 
 
 def test_fd_operators_exact_on_quartics():

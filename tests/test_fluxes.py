@@ -177,3 +177,16 @@ def test_one_tilt_solve_per_point(tmp_path, pm1, pm1_flux, monkeypatch):
     assert len(calls) == 1
     pm1_flux.export_csv(tmp_path / "flux.csv", [0.3, 0.5], [-0.2, 0.0, 0.2])
     assert len(calls) == 1 + 6
+
+
+def test_bundle_does_not_depend_on_batch_size():
+    """A point's fluxes and partials are the same bits whether it is solved
+    with 5,000 others or in a call of 7."""
+    fp = macroscopic_flux(build_model("two-lane", gamma=1.25))
+    rng = np.random.default_rng(5)
+    rho = rng.uniform(0.01, 0.99, 5000)
+    u = 0.4 * rng.uniform(-1.0, 1.0, 5000) * np.minimum(rho, 1.0 - rho)
+    whole = fp.bundle(rho, u)
+    parts = [fp.bundle(rho[i:i + 7], u[i:i + 7]) for i in range(0, 5000, 7)]
+    for j, got in enumerate(whole):
+        assert np.array_equal(got, np.concatenate([p[j] for p in parts]))

@@ -194,3 +194,28 @@ def test_cauchy_matches_marched_cutoff_derivative():
         assert -0.05 < val < 1.05      # cutoff range with numerical slack
         checked += 1
     assert checked >= 5
+
+
+@pytest.mark.parametrize("c", [-0.5, 0.5, 1.5, 2.5, 3.0])
+def test_riemann_function_closed_form_order(c):
+    """At gamma = 1 the limit coefficients are alpha = beta = c / (w + z),
+    c = kappa - 1, whose Riemann function is known in closed form:
+
+        ((w+z)/(w0+z0))^c 2F1(c, 1-c; 1; -(w-w0)(z-z0)/((w+z)(w0+z0))).
+
+    The Picard solution approaches it at second order in m."""
+    from scipy.special import hyp2f1
+
+    w0, z0 = 1.0, 0.2
+    cc = limit_flux_char_coeffs(1.0, c + 1.0)
+    errs = []
+    for m in (65, 129, 257):
+        rf = riemann_function(cc, w0, z0, m=m)
+        W, Z = np.meshgrid(rf.grid, rf.grid, indexing="ij")
+        assert np.max(np.abs(cc.alpha(W, Z) - c / (W + Z))) < 1e-13
+        exact = ((W + Z) / (w0 + z0)) ** c * hyp2f1(
+            c, 1.0 - c, 1.0, -(W - w0) * (Z - z0) / ((W + Z) * (w0 + z0)))
+        errs.append(np.max(np.abs(rf.phi - exact)))
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all(orders >= 1.8), (errs, orders)
+    assert errs[-1] < 2e-5

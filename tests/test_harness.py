@@ -110,12 +110,25 @@ def test_block_sampler_matches_comparison_formula(pm1):
         assert np.array_equal(spins, (draws[..., None] > cum[:-1]).sum(axis=-1))
 
 
-def test_tail_below_mean_trivial(pm1):
-    # bounds at z below the mean hold trivially (tail prob <= 1)
-    from scipy import stats as sps
-    L, C = 50.0, 1.0
-    z = 0.2
-    assert sps.poisson.sf(np.floor(z / C * L), L) > 0.99
+def test_block_sampler_moments_and_lower_tail(pm1):
+    """The sampled block averages centre on the requested densities with
+    the tilted measure's variance, and below the mean their tail is 1 up to
+    rare misses."""
+    from latgas.sim import weight_function
+    from latgas.thermo import invert_parameters, moments
+
+    samples = 40_000
+    rho_hat, u_hat, l = _sample_blocks(pm1, ScalingPlan(l=50), 1000, 0.5, 0.1,
+                                       samples, 5)
+    cp = invert_parameters(pm1, 0.5, 0.1)
+    _, cov = moments(pm1, cp.tau, cp.theta)
+    wts = weight_function(np.arange(-l + 1, l) / l) / l
+    for hat, mean, var in ((rho_hat, 0.5, cov[0, 0]), (u_hat, 0.1, cov[1, 1])):
+        var_hat = var * np.sum(wts ** 2)
+        assert abs(np.mean(hat) - mean * np.sum(wts)) < 5 * np.sqrt(
+            var_hat / samples)
+        assert abs(np.var(hat) / var_hat - 1.0) < 0.05
+    assert np.mean(rho_hat > 0.5 * np.sum(wts) - 0.2) > 0.99
 
 
 def test_moment_gamma_zero_trivial(pm1):

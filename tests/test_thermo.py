@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from latgas import thermo
 from latgas.thermo import (DomainPolygon, OutOfDomain, entropy_gradient,
                            entropy_hessian, gibbs_measure, invert_parameters,
                            invert_parameters_grid, log_mgf, moments,
@@ -155,3 +156,113 @@ def test_batch_inversion_equals_pointwise(request, name):
         for got, want in zip(one, batch):
             assert got == want[i]
         assert np.array_equal(one.p, batch.p[i])
+
+
+# -- the compiled tilt kernels against the numpy reference -----------------
+
+@pytest.fixture
+def c_tilt():
+    if thermo.tilt_kernel() != "c":
+        pytest.skip("no C compiler to build the tilt kernel")
+
+
+def _kernel_grids():
+    """(name, model, rho, u): interior pm1 and two-lane points down to the
+    1e-11 floor, and the benchmark's scaled-table grid (gamma = 1.25,
+    n = 1000, 300 x 119 cells mapped to model variables)."""
+    from latgas import build_model
+
+    rng = np.random.default_rng(11)
+    rho = np.concatenate([[1e-11, 1e-11, 1e-9, 1e-5],
+                          rng.uniform(0.02, 0.98, 300)])
+    frac = np.concatenate([[0.0, 0.5, -0.5, 0.9], rng.uniform(-0.9, 0.9, 300)])
+    # pm1 lives on |u| <= min(rho, 1 - rho), inside the two-lane square
+    # [0, 1] x [-1, 1]; u is a fraction of that bound
+    u = frac * np.minimum(rho, 1.0 - rho)
+    yield "pm1", build_model("pm1"), rho, u
+    for g in (1.25, 0.3):
+        yield f"two-lane {g}", build_model("two-lane", gamma=g), rho, 0.5 * u
+    r = np.linspace(0.0, 83.0797, 300)
+    v = np.linspace(-1.5, 1.5, 119)
+    R, U = np.meshgrid(np.maximum(1e-3 * r, 1e-11), 1000 ** -0.5 * v)
+    yield "scaled table", build_model("two-lane", gamma=1.25), R, U
+
+
+def test_c_inversion_matches_numpy(c_tilt):
+    """The compiled Newton takes the numpy loop's steps: the same iteration
+    counts, and values that differ only through libm's exp and log against
+    numpy's."""
+    for name, model, rho, u in _kernel_grids():
+        site = thermo.site_table(model)
+        m0 = float(model.pi @ model.eta)
+        args = (site, m0, rho.ravel(), u.ravel(), 1e-12, 100)
+        (res_c, p_c, it_c, worst_c, bad_c) = thermo._resolve_kernel()[0](*args)
+        (res_p, p_p, it_p, worst_p, bad_p) = thermo._invert_py(*args)
+        assert bad_c == bad_p == -1, name
+        assert it_c == it_p, name
+        assert np.all(np.abs(res_c - res_p)
+                      <= 1e-14 * np.maximum(1.0, np.abs(res_p))), name
+        assert np.max(np.abs(p_c - p_p)) <= 1e-15, name
+        assert worst_c < 1e-12 and worst_p < 1e-12, name
+
+
+def test_pair_moments_backends_bitwise(c_tilt, pm1_flux, two_lane_flux):
+    """Given the same measures, the compiled pair sums equal the numpy
+    loops bit for bit."""
+    for fp in (pm1_flux, two_lane_flux):
+        R, U = np.meshgrid(np.linspace(0.05, 0.6, 40),
+                           np.linspace(-0.2, 0.2, 30))
+        p, _ = fp._tilted(R, 0.3 * U * np.minimum(R, 1 - R))
+        got = thermo.pair_moments(fp._site, p, fp._tabs)
+        want = thermo._pair_moments_py(fp._site, p, fp._tabs)
+        assert got.shape == (9, R.size)
+        assert np.array_equal(got, want)
+
+
+def test_c_nonconvergence_message(c_tilt, pm1):
+    """The compiled solve names the first point that did not converge, as
+    the numpy one does."""
+    from latgas.thermo import NonConvergence
+
+    rho, u = np.array([0.5, 0.3, 1.5, 2.0]), np.array([0.1, 0.0, 0.0, 0.0])
+    with pytest.raises(NonConvergence) as exc:
+        invert_parameters_grid(pm1, rho, u)
+    assert str(exc.value) == "Newton failed at (rho,u)=(1.5,0)"
+    site, m0 = thermo.site_table(pm1), float(pm1.pi @ pm1.eta)
+    for kernel in (thermo._resolve_kernel()[0], thermo._invert_py):
+        assert kernel(site, m0, rho, u, 1e-12, 100)[-1] == 2
+        # too few iterations for any point
+        assert kernel(site, m0, rho, u, 1e-12, 2)[-1] == 0
+
+
+def test_numpy_tilt_without_compiler(monkeypatch, pm1, two_lane):
+    """When no kernel can be built the numpy reference runs."""
+    from latgas import macroscopic_flux, native
+
+    monkeypatch.setattr(native, "load", lambda *args: None)
+    monkeypatch.setattr(thermo, "_kernel", None)
+    assert thermo.tilt_kernel() == "python"
+    rho, u = np.array([1e-11, 0.2, 0.6]), np.array([0.0, -0.1, 0.3])
+    sol = invert_parameters_grid(pm1, rho, u)
+    res, p, it, worst, _ = thermo._invert_py(
+        thermo.site_table(pm1), float(pm1.pi @ pm1.eta), rho, u, 1e-12, 100)
+    for got, want in zip(sol, res):
+        assert np.array_equal(got, want)
+    assert np.array_equal(sol.p, p)
+    assert (sol.iterations, sol.residual) == (it, worst)
+    fp = macroscopic_flux(two_lane)
+    ps = fp._tilted(rho, 0.5 * u)[0]
+    assert np.array_equal(thermo.pair_moments(fp._site, ps, fp._tabs),
+                          thermo._pair_moments_py(fp._site, ps, fp._tabs))
+
+
+def test_pair_moments_rejects_mismatched_shapes(pm1_flux):
+    """The compiled sums index by the site table's k: measures or tables
+    of another size are refused before they reach it."""
+    site, tabs = pm1_flux._site, pm1_flux._tabs
+    p = np.full((5, 3), 1.0 / 3.0)
+    assert thermo.pair_moments(site, p, tabs).shape == (9, 5)
+    for args in ((site, p[:, :2], tabs), (site, p[0], tabs),
+                 (site, p, tabs[:, :2]), (site[:, :2], p, tabs)):
+        with pytest.raises(ValueError):
+            thermo.pair_moments(*args)

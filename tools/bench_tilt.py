@@ -14,8 +14,8 @@ median and quartiles of each side:
   ``FluxPair`` does, in one ``invert_parameters_grid`` call;
 - ns per point on a pm1 oracle grid: the ``eulerian`` oracle's initial
   profile (rho = 0.5 + 0.1 sin, u = 0.1 cos) at 3 x 512 points;
-- Newton iterations of each of those solves (tilt evaluations, counted by
-  wrapping ``thermo.tilted``, so both sides are counted the same way);
+- Newton iterations of each of those solves: ``Tilt.iterations``, the
+  largest number of tilt evaluations any point took;
 - criterion 8's fixture setup and call, from pytest's ``--durations``.
 
 The machine, the interpreter and library versions go into the JSON file.
@@ -51,24 +51,14 @@ def _worker(src):
              "pm1_oracle": (build_model("pm1"), 0.5 + 0.1 * np.sin(2 * np.pi * x),
                             0.1 * np.cos(2 * np.pi * x))}
     out = {}
-    inner = thermo.tilted
     for name, (model, r, v) in grids.items():
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return inner(*args, **kwargs)
-
-        thermo.tilted = counting
-        thermo.invert_parameters_grid(model, r, v)
-        thermo.tilted = inner
         times = []
         for _ in range(REPEATS):
             t0 = time.perf_counter()
-            thermo.invert_parameters_grid(model, r, v)
+            sol = thermo.invert_parameters_grid(model, r, v)
             times.append(time.perf_counter() - t0)
         out[f"ns_per_point.{name}"] = min(times) / np.size(r) * 1e9
-        out[f"iterations.{name}"] = len(calls)
+        out[f"iterations.{name}"] = sol.iterations
     print(json.dumps(out))
 
 
