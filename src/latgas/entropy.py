@@ -568,7 +568,6 @@ void rk4_step(double *state, double *work, int64_t nf, int64_t n,
     pin(state, n, pin_rows, npin, pin_cells, pin_vals);
 }
 """
-_STEP_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
 _kernel = None       # resolved on first use by _resolve_kernel
 
@@ -576,7 +575,7 @@ _kernel = None       # resolved on first use by _resolve_kernel
 def _load_c_stepper():
     """A stepper factory around the compiled RK4 step; None when there is no
     compiler or the build fails."""
-    lib = native.load("march", _STEP_SOURCE, _STEP_FLAGS)
+    lib = native.load("march", _STEP_SOURCE)
     if lib is None:
         return None
     fn = lib.rk4_step

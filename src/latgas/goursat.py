@@ -4,12 +4,14 @@
 
 its adjoint Goursat problem for the Riemann function, the quadrature that
 solves the Cauchy problem from diagonal data, and the contraction-based
-sup bound for Goursat problems on rectangles.
+sup bound for Goursat problems on rectangles.  One Picard loop solves both
+Goursat problems: the Riemann function's is the rectangle problem with w
+and z swapped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,15 +137,6 @@ class RiemannFunction:
     certified: bool             # 1/6 integral bounds hold (after splitting)
     split_count: int = 1
 
-    def __call__(self, w, z):
-        from scipy.interpolate import RegularGridInterpolator
-
-        itp = RegularGridInterpolator((self.grid, self.grid), self.phi,
-                                      bounds_error=False, fill_value=None)
-        pts = np.stack(np.broadcast_arrays(np.asarray(w, dtype=float),
-                                           np.asarray(z, dtype=float)), axis=-1)
-        return itp(pts)
-
     def diagonal(self):
         return np.diagonal(self.phi).copy()
 
@@ -187,7 +180,7 @@ def coefficient_integral_bounds(coeffs, w0, z0, m=60):
 
 def riemann_function(coeffs, w0, z0, m=129, tol=1e-10, max_iter=400):
     """Solve the adjoint Goursat problem for the Riemann function of the
-    evaluation point (w0, z0) by Picard iteration of its integral equation.
+    evaluation point (w0, z0) by the rectangle solver's Picard iteration.
 
     Boundary data: phi(w0, t) = exp int_{z0}^t alpha(w0, .),
                    phi(s, z0) = exp int_{w0}^s beta(., z0).
@@ -197,8 +190,12 @@ def riemann_function(coeffs, w0, z0, m=129, tol=1e-10, max_iter=400):
     """
     if not z0 < w0:
         raise ValueError("need z0 < w0")
+    # Reflected through the diagonal (w and z swapped) the adjoint equation
+    # is the rectangle problem with A = beta, B = alpha, C = nu: the data on
+    # w = w0 is its top edge and the data on z = z0 its left edge.  The
+    # coefficients are sampled in that layout, [z, w].
     g = np.linspace(z0, w0, m)
-    W, Z = np.meshgrid(g, g, indexing="ij")
+    Z, W = np.meshgrid(g, g, indexing="ij")
     A = np.asarray(coeffs.alpha(W, Z), dtype=float)
     B = np.asarray(coeffs.beta(W, Z), dtype=float)
     NU = np.asarray(coeffs.nu(W, Z), dtype=float)
@@ -206,42 +203,11 @@ def riemann_function(coeffs, w0, z0, m=129, tol=1e-10, max_iter=400):
             and np.all(np.isfinite(NU))):
         raise NoContraction("coefficients are not finite on the triangle")
 
-    # boundary rows
-    int_a_right = _cumtrapz0(A[-1, :], g)                 # int_{z0}^t alpha(w0,.)
-    phi_right = np.exp(int_a_right)                       # phi(w0, t)
-    int_b_bottom = _cumtrapz0(B[:, 0], g)                 # int_{z0}^s beta(., z0)
+    phi_right = np.exp(_cumtrapz0(A[:, -1], g))           # phi(w0, t)
+    int_b_bottom = _cumtrapz0(B[0, :], g)                 # int_{z0}^s beta(., z0)
     phi_bottom = np.exp(int_b_bottom - int_b_bottom[-1])  # phi(s, z0)
-
-    phi = np.ones((m, m))
-    phi[-1, :] = phi_right
-    phi[:, 0] = phi_bottom
-    corner = phi_right[0]  # = phi(w0, z0) = 1
-
-    base = phi_right[None, :] + phi_bottom[:, None] - corner
-    it = 0
-    for it in range(1, max_iter + 1):
-        ap = A * phi
-        bp = B * phi
-        np_ = NU * phi
-        # int_{z0}^{z} alpha(w,t) phi(w,t) dt  along z (axis 1)
-        ia = _cumtrapz0(ap, g, axis=1)
-        ia_right = ia[-1:, :]                              # at w = w0
-        # int_{w}^{w0} beta(s,z) phi(s,z) ds  along w (axis 0)
-        ib_full = _cumtrapz0(bp, g, axis=0)
-        ib = ib_full[-1:, :] - ib_full                     # tail integral
-        ib_bottom = ib[:, 0:1]                             # at z = z0
-        # double integral of nu phi over [w,w0] x [z0,z]
-        dd = _cumtrapz0(_cumtrapz0(np_, g, axis=1), g, axis=0)
-        dbl = (dd[-1:, :] - dd) - (dd[-1:, 0:1] - dd[:, 0:1])
-        new = base - ia_right + ia - ib + ib_bottom + dbl
-        new[-1, :] = phi_right
-        new[:, 0] = phi_bottom
-        change = float(np.max(np.abs(new - phi)))
-        phi = new
-        if change < tol:
-            break
-    else:
-        raise NoContraction(f"Picard iteration stalled (change {change:.2e})")
+    U, it = _picard_rectangle(B, A, NU, phi_right, phi_bottom, g, g, tol,
+                              max_iter)
 
     ia_b, ib_b, inu_b = coefficient_integral_bounds(coeffs, w0, z0, m=min(m, 80))
     certified = max(ia_b, ib_b, inu_b) < 1.0 / 6.0
@@ -254,7 +220,7 @@ def riemann_function(coeffs, w0, z0, m=129, tol=1e-10, max_iter=400):
         if splits > 10_000:
             raise NoContraction("coefficient integrals too large to certify")
         certified = True
-    return RiemannFunction(w0=w0, z0=z0, grid=g, phi=phi, iterations=it,
+    return RiemannFunction(w0=w0, z0=z0, grid=g, phi=U.T, iterations=it,
                            certified=certified, split_count=splits)
 
 
@@ -301,16 +267,20 @@ def goursat_solve_rectangle(A, B, C, top_data, left_data, w_grid, z_grid,
     """
     w = np.asarray(w_grid, dtype=float)
     z = np.asarray(z_grid, dtype=float)
-    mw, mz = len(w), len(z)
     W, Z = np.meshgrid(w, z, indexing="ij")
-    Av = np.asarray(A(W, Z), dtype=float)
-    Bv = np.asarray(B(W, Z), dtype=float)
-    Cv = np.asarray(C(W, Z), dtype=float)
     f = np.asarray(top_data, dtype=float)      # (mw,), along w at z = y2
     gdat = np.asarray(left_data, dtype=float)  # (mz,), along z at w = x1
     if abs(f[0] - gdat[-1]) > 1e-10:
         raise ValueError("incompatible corner data")
+    return _picard_rectangle(np.asarray(A(W, Z), dtype=float),
+                             np.asarray(B(W, Z), dtype=float),
+                             np.asarray(C(W, Z), dtype=float),
+                             f, gdat, w, z, tol, max_iter)
 
+
+def _picard_rectangle(Av, Bv, Cv, f, gdat, w, z, tol, max_iter):
+    """The Picard loop of ``goursat_solve_rectangle`` on coefficient arrays
+    sampled at the nodes of ``w`` x ``z``; returns (U, iterations)."""
     def down_int(arr):
         """int_{y2}^{z_j} arr dt along axis 1 (signed, z_j <= y2)."""
         return _cumtrapz0(arr[:, ::-1], z[::-1], axis=1)[:, ::-1]
@@ -320,7 +290,7 @@ def goursat_solve_rectangle(A, B, C, top_data, left_data, w_grid, z_grid,
     # g~(z) = g(z) - int_{y2}^z A(x1,t) g(t) dt
     g_t = gdat - down_int((Av[0, :] * gdat)[None, :])[0]
 
-    U = np.broadcast_to(f[:, None], (mw, mz)).copy()
+    U = np.broadcast_to(f[:, None], (len(w), len(z))).copy()
     base = f_t[:, None] + g_t[None, :] - gdat[-1]
     for it in range(1, max_iter + 1):
         # int_{y2}^{z} A U dt + int_{x1}^{w} B U ds - double integral of C U
@@ -334,4 +304,4 @@ def goursat_solve_rectangle(A, B, C, top_data, left_data, w_grid, z_grid,
         U = new
         if change < tol:
             return U, it
-    raise NoContraction(f"Goursat iteration stalled (change {change:.2e})")
+    raise NoContraction(f"Picard iteration stalled (change {change:.2e})")

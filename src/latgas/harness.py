@@ -24,8 +24,8 @@ from .fluxes import macroscopic_flux
 from .models import (TooLarge, build_model, configurations, level_totals,
                      microscopic_fluxes)
 from .pde import LimitFlux, ModelFluxView, smooth_solution_oracle
-from .sim import (ScalingPlan, sample_local_equilibrium, simulate,
-                  empirical_fields, weight_function, philox_stream)
+from .sim import (ScalingPlan, draw_states, sample_local_equilibrium,
+                  simulate, empirical_fields, weight_function, philox_stream)
 from .thermo import DomainPolygon, invert_parameters_grid
 
 
@@ -290,13 +290,8 @@ class TailReport:
 
 
 def _sample_blocks(model, plan, n, rho0, u0, samples, seed):
-    """Draw block averages of (eta, zeta) from i.i.d. local equilibrium.
-
-    Spins come by inverse CDF: a uniform draw's spin is the number of
-    cumulative weights ``cum[:-1]`` strictly below it (``searchsorted``'s
-    left rule).  The last weight is never compared, so a draw above a
-    cumsum that rounded below 1 still lands on the last state.
-    """
+    """Draw block averages of (eta, zeta) from i.i.d. local equilibrium,
+    spins by ``draw_states``."""
     l = plan.block_size(n)
     rho_s, u_s = plan.scale_profile_values(np.array([rho0]), np.array([u0]), n)
     cum = np.cumsum(invert_parameters_grid(model, rho_s, u_s).p[0])
@@ -310,9 +305,7 @@ def _sample_blocks(model, plan, n, rho0, u0, samples, seed):
     chunk = max(1, int(2e6 // (2 * l)))
     for done in range(0, samples, chunk):
         draws = rng.random((min(chunk, samples - done), offs.size))
-        spins = np.zeros(draws.shape, dtype=np.intp)
-        for c in cum[:-1]:
-            spins += draws > c
+        spins = draw_states(cum, draws)
         rho_hat[done:done + len(draws)] = f_r * (np.take(eta, spins) @ wts)
         u_hat[done:done + len(draws)] = f_u * (np.take(zeta, spins) @ wts)
     return rho_hat, u_hat, l

@@ -5,6 +5,9 @@ a shared library on first use.  The library is cached per user
 (``$XDG_CACHE_HOME/latgas``, else ``~/.cache/latgas``, else a private
 temporary directory) under a name tagged with a hash of the source and the
 flags, so an edited kernel is rebuilt and never mixed up with an old one.
+Every kernel is built with the same flags; ``-ffp-contract=off`` keeps the
+compiler from fusing multiplies and adds, so a kernel rounds as the numpy
+reference written with the same operations does.
 Callers keep an interpreted reference and fall back to it when ``load``
 returns None.
 """
@@ -40,10 +43,13 @@ def _cache_dir():
     return path
 
 
-def load(name, source, flags):
+_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def load(name, source):
     """The compiled library ``name`` as a ``ctypes.CDLL``, building it if it
     is not cached yet; None when there is no compiler or the build fails."""
-    tag = hashlib.blake2b("\0".join((source,) + tuple(flags)).encode(),
+    tag = hashlib.blake2b("\0".join((source,) + _FLAGS).encode(),
                           digest_size=8).hexdigest()
     try:
         cache = _cache_dir()
@@ -59,7 +65,7 @@ def load(name, source, flags):
                 with open(src, "w") as fh:
                     fh.write(source)
                 out = os.path.join(tmp, f"{name}.so")
-                subprocess.run([cc, *flags, "-o", out, src],
+                subprocess.run([cc, *_FLAGS, "-o", out, src],
                                check=True, capture_output=True, timeout=120)
                 os.replace(out, lib_path)
         return ctypes.CDLL(lib_path)

@@ -162,14 +162,9 @@ class EigenData:
     m: np.ndarray
 
 
-def _jacobian_entries(flux, rho, u):
-    """(Psi_rho, Psi_u, Phi_rho, Phi_u) from one flux evaluation."""
-    return flux.bundle(rho, u)[2:]
-
-
 def wave_speeds(flux, rho, u, strict=True):
     """Both characteristic speeds (lam >= mu), vectorized."""
-    return _speeds(*_jacobian_entries(flux, rho, u), strict=strict)
+    return _speeds(*flux.bundle(rho, u)[2:], strict=strict)
 
 
 def _speeds(pr, pu, fr, fu, strict=True):
@@ -190,7 +185,7 @@ def eigenstructure(flux, rho, u):
     lam - Psi_rho); closed forms throughout, so residuals sit at rounding
     level for the limit fluxes and FD level for model fluxes.
     """
-    pr, pu, fr, fu = (float(np.asarray(v)) for v in _jacobian_entries(flux, rho, u))
+    pr, pu, fr, fu = (float(np.asarray(v)) for v in flux.bundle(rho, u)[2:])
     disc = (fu - pr) ** 2 + 4.0 * fr * pu
     if disc < -1e-14:
         raise ComplexEigenvalues(f"discriminant {disc:.3e} < 0 at ({rho},{u})")
@@ -435,14 +430,17 @@ def _central4_step(flux, R, U, dt, dx):
     return _spectral_filter(R_new), _spectral_filter(U_new)
 
 
+_MAX_STEPS = 2_000_000      # step budget of one solve
+
+
 def solve(flux, rho0, u0, t_end, m=None, scheme="muscl", cfl=0.4,
-          snapshot_times=(), blowup_factor=50.0, raise_on_blowup=True,
-          max_steps=2_000_000):
+          snapshot_times=(), blowup_factor=50.0):
     """Method-of-lines/finite-volume solution on the periodic unit torus.
 
     ``rho0``/``u0`` may be Fields or callables of x.  Snapshots are taken at
     the requested macroscopic times plus t_end.  Gradient blow-up (tracked
-    through max |d_x u|) stops the run and records ``blowup_time``.
+    through max |d_x u|) raises ``BlowupBeforeT`` with the run, its
+    ``blowup_time`` recorded.
     """
     if m is None:
         m = rho0.m if isinstance(rho0, Field) else 256
@@ -487,10 +485,8 @@ def solve(flux, rho0, u0, t_end, m=None, scheme="muscl", cfl=0.4,
                 run.blowup_time = t
                 run.snapshots.append((t, Field(R.copy(), t, "rho"),
                                       Field(U.copy(), t, "u")))
-                if raise_on_blowup:
-                    raise BlowupBeforeT(f"gradient blow-up at t={t:.6g}", run)
-                return run
-            if run.steps > max_steps:
+                raise BlowupBeforeT(f"gradient blow-up at t={t:.6g}", run)
+            if run.steps > _MAX_STEPS:
                 raise RuntimeError("step budget exhausted")
         run.snapshots.append((target, Field(R.copy(), target, "rho"),
                               Field(U.copy(), target, "u")))

@@ -139,6 +139,18 @@ class LatticeState:
         self.trajectory_hash = h.hexdigest()
 
 
+def draw_states(cum, draws):
+    """States by inverse CDF: a uniform draw's state is the number of
+    cumulative weights ``cum[..., :-1]`` strictly below it (``searchsorted``'s
+    left rule).  ``cum`` is one table (k,) for all draws or one row (n, k)
+    per draw of ``draws`` (n,).  The last weight is never compared, so a draw
+    above a cumsum that rounded below 1 still lands on the last state."""
+    spins = np.zeros(np.shape(draws), dtype=np.intp)
+    for c in np.moveaxis(cum[..., :-1], -1, 0):
+        spins += draws > c
+    return spins
+
+
 def sample_local_equilibrium(model, rho_profile, u_profile, n, plan, seed,
                              stream=0):
     """Independent site draws from the tilted measures along a profile."""
@@ -156,9 +168,7 @@ def sample_local_equilibrium(model, rho_profile, u_profile, n, plan, seed,
             f"({rho_vals[bad]:.4g}, {u_vals[bad]:.4g})")
     p = invert_parameters_grid(model, rho_vals, u_vals).p
     rng = philox_stream(seed, stream)
-    cum = np.cumsum(p, axis=1)
-    draws = rng.random(n)
-    spins = (draws[:, None] > cum).sum(axis=1).astype(np.uint8)
+    spins = draw_states(np.cumsum(p, axis=1), rng.random(n)).astype(np.uint8)
     st = LatticeState(spins=spins, time=0.0, seed=seed, rng=rng)
     st.total_eta, st.total_zeta2 = st.recompute_totals(model)
     st.update_hash()
@@ -200,7 +210,6 @@ int64_t apply_events(uint8_t *spins, int64_t n, const int64_t *bonds,
     return accepted;
 }
 """
-_KERNEL_FLAGS = ("-O2", "-shared", "-fPIC")
 
 _kernel = None       # resolved on first use by _resolve_kernel
 
@@ -228,7 +237,7 @@ def _apply_events_py(spins, bonds, us, cum, out_a, out_b, nchan, k):
 def _load_c_kernel():
     """The compiled kernel's ctypes function, building it if it is not
     cached yet; None when there is no compiler or the build fails."""
-    lib = native.load("events", _KERNEL_SOURCE, _KERNEL_FLAGS)
+    lib = native.load("events", _KERNEL_SOURCE)
     if lib is None:
         return None
     fn = lib.apply_events

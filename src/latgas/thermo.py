@@ -406,7 +406,6 @@ void pair_moments(int64_t k, const double *site, int64_t n, const double *p,
     }
 }
 """
-_TILT_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
 _kernel = None       # resolved on first use by _resolve_kernel
 _PYTHON = (_invert_py, _pair_moments_py)
@@ -416,7 +415,7 @@ def _load_c_kernel():
     """``(invert, pair_moments)`` around the compiled kernels, with the
     signatures of the numpy ones; None when there is no compiler or the
     build fails."""
-    lib = native.load("tilt", _TILT_SOURCE, _TILT_FLAGS)
+    lib = native.load("tilt", _TILT_SOURCE)
     if lib is None:
         return None
     i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p

@@ -219,3 +219,27 @@ def test_riemann_function_closed_form_order(c):
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(orders >= 1.8), (errs, orders)
     assert errs[-1] < 2e-5
+
+
+@pytest.mark.parametrize("k", [0.5, 2.0, -1.0])
+def test_riemann_function_nu_closed_form_order(k):
+    """With alpha = beta = 0 and constant nu = k the Riemann function is
+    I0(2 sqrt(k s)) for k > 0 and J0(2 sqrt(|k| s)) for k < 0, with
+    s = (w0 - w)(z - z0); only the double integral of nu phi is exercised.
+    The Picard solution approaches it at second order in m."""
+    from scipy.special import i0, j0
+
+    w0, z0 = 1.0, 0.2
+    zero = lambda w, z: np.zeros(np.broadcast(w, z).shape)
+    cc = CharCoeffs(alpha=zero, beta=zero,
+                    nu=lambda w, z: k + zero(w, z))
+    errs = []
+    for m in (33, 65, 129):
+        rf = riemann_function(cc, w0, z0, m=m)
+        W, Z = np.meshgrid(rf.grid, rf.grid, indexing="ij")
+        x = 2.0 * np.sqrt(abs(k) * (w0 - W) * (Z - z0))
+        exact = i0(x) if k > 0 else j0(x)
+        errs.append(np.max(np.abs(rf.phi - exact)))
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all(orders >= 1.8), (errs, orders)
+    assert errs[-1] < 1e-5

@@ -7,7 +7,8 @@ from scipy.linalg import expm
 
 from latgas import build_model, native, sim
 from latgas.sim import (LatticeState, ScalingPlan, TooLarge, block_average,
-                        dump_state, empirical_fields, generator_matrix,
+                        draw_states, dump_state, empirical_fields,
+                        generator_matrix,
                         load_state, philox_stream, product_measure_vector,
                         sample_local_equilibrium, simulate, weight_function,
                         write_snapshot_csv)
@@ -50,6 +51,17 @@ def test_generator_row_sums_and_stationarity(pm1):
 def test_generator_too_large(two_lane):
     with pytest.raises(TooLarge):
         generator_matrix(two_lane, 7)
+
+
+def test_draw_states_last_weight_below_one():
+    # a cumulative table that rounded below 1: a draw above its last weight
+    # lands on the last state, both for one table and for one row per draw
+    cum = np.array([0.25, 0.5, 1.0 - 2.0 ** -40])
+    draws = np.array([0.1, 0.25, 0.3, 0.75, 1.0 - 2.0 ** -50])
+    assert draws[-1] > cum[-1]
+    assert draw_states(cum, draws).tolist() == [0, 0, 1, 2, 2]
+    rows = np.tile(cum, (draws.size, 1))
+    assert draw_states(rows, draws).tolist() == [0, 0, 1, 2, 2]
 
 
 def test_local_equilibrium_mean_and_determinism(pm1):

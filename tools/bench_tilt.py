@@ -117,7 +117,8 @@ def alternate_pairs(parent, pairs, measure, out, command):
     the median and quartiles of each row and side to ``out``.
 
     ``measure(checkout)`` returns one flat dict of numbers.  A key's unit
-    is ns if it starts with ``ns_``, s if it ends with ``_s``, else count.
+    is ns or ms if it starts with ``ns_`` or ``ms_``, s if it ends with
+    ``_s``, else count.
     """
     sides = {"parent": os.path.abspath(parent), "change": ROOT}
     runs = {side: [] for side in sides}
@@ -129,8 +130,8 @@ def alternate_pairs(parent, pairs, measure, out, command):
             print(f"pair {pair + 1} {side}: {row}", file=sys.stderr)
     rows = {}
     for key in runs["change"][0]:
-        unit = ("ns" if key.startswith("ns_") else "s" if key.endswith("_s")
-                else "count")
+        unit = (key[:2] if key.startswith(("ns_", "ms_"))
+                else "s" if key.endswith("_s") else "count")
         rows[key] = {"unit": unit,
                      **{side: quartiles([r[key] for r in runs[side]])
                         for side in sides}}
