@@ -21,13 +21,14 @@ import csv
 import ctypes
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import PchipInterpolator
 
 from . import native
-from .pde import LimitFlux, riemann_invariants, wave_speeds
+from .pde import LimitFlux, riemann_invariant_gradients, riemann_invariants
 from .thermo import tilt_kernel
 
 
@@ -162,10 +163,48 @@ def characteristic_curve(flux, r, u_max, u_min=None, slope_fn=None):
     return us[uniq], rhos[uniq]
 
 
+def limit_curve(gamma, r, u):
+    """The limit flux's characteristic through (r, 0), at every u of an
+    array: the level set z(rho, u) = z(r, 0) of the Riemann invariant z.
+
+    z is homogeneous of degree 1, z(lam^2 rho, lam u) = lam z(rho, u), so
+    with c = z(r, 0) the curve is rho = c^2 q(u / c), where q solves
+    z(q, s) = 1.  Newton's method finds q from the gamma = 1 curve
+    q = 1 + s, and each point stops on its own step, so its value does not
+    depend on the other points in the call.  The curve is exactly 0 for
+    u <= -c, where it has merged into rho = 0.  Needs gamma > 3/4, where z
+    is the invariant carried along the characteristics ``char_slope``
+    follows.
+    """
+    if r <= 0:
+        raise SingularStart("the characteristic ODE is singular at r = 0")
+    c = float(riemann_invariants(gamma, r, 0.0)[1])
+    u = np.asarray(u, dtype=float)
+    s = u.reshape(-1) / c
+    q = np.where(s > -1.0, 1.0 + s, 0.0)
+    todo = np.flatnonzero(q)
+    for _ in range(60):
+        if todo.size == 0:
+            break
+        qt, st = q[todo], s[todo]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = riemann_invariants(gamma, qt, st)[1]
+            z_q = riemann_invariant_gradients(gamma, qt, st)[2]
+        step = (z - 1.0) / z_q
+        q[todo] = qt = np.maximum(qt - step, 0.5 * qt)
+        todo = todo[np.abs(step) > 1e-13 * np.maximum(qt, 1.0)]
+    return (c * c * q).reshape(u.shape)
+
+
 @dataclass
 class CharGeometry:
     """Characteristic curves through (r_lo, 0) and (r_hi, 0) plus Lemma-style
-    sandwich constants fitted from the integrated curves."""
+    sandwich constants fitted from the curves.
+
+    For the limit flux (gamma > 3/4) a curve is the closed-form level set
+    ``limit_curve``, evaluated wherever it is asked for.  For a model flux
+    it is integrated by RK4 on a tabulated slope field and interpolated.
+    """
 
     flux: object
     r_lo: float
@@ -176,6 +215,9 @@ class CharGeometry:
     C2: float = None
 
     def __post_init__(self):
+        self._slope_fn = None
+        self._closed_form = (isinstance(self.flux, LimitFlux)
+                             and self.flux.gamma > 0.75)
         if not isinstance(self.flux, LimitFlux):
             # model-backed fluxes: tabulate the slope field once
             r_cap = 4.0 * self.r_hi
@@ -188,13 +230,14 @@ class CharGeometry:
                     break
                 box *= 0.9
             self._slope_fn = tabulated_slope(self.flux, box, self.u_max * 1.1)
-        else:
-            self._slope_fn = None
         for r in (self.r_lo, self.r_hi):
             self._add_curve(r)
         self._fit_constants()
 
     def _add_curve(self, r):
+        if self._closed_form:
+            self.curves[r] = partial(limit_curve, self.flux.gamma, r)
+            return
         us, rhos = characteristic_curve(self.flux, r, self.u_max * 1.05,
                                         slope_fn=self._slope_fn)
         self.curves[r] = PchipInterpolator(us, rhos, extrapolate=True)
@@ -624,7 +667,19 @@ def _load_c_stepper():
     return c_stepper
 
 
-_CFL = 0.25          # march step: _CFL h over the largest speed
+# March step: _CFL h over the largest characteristic speed of the strip.
+# For a Fourier mode at angle t = k h, the march's principal part
+# f_uu = (Psi_u f_rr + gap f_ru) / Phi_rho has the eigenvalues
+#     i [gap s1 +- sqrt(gap^2 s1^2 + 4 Phi_rho Psi_u s2)] / (2 Phi_rho h),
+# with s1 = (8 sin t - sin 2t) / 6 the symbol of d1_4 (peak 1.372) and
+# s2 = (30 - 32 cos t + 2 cos 2t) / 12 that of -d2_4 (peak 16/3 at t = pi).
+# Since s1^2 <= s2, the eigenvalues are at most sqrt(16/3) = 2.309 times
+# the largest speed over h.  RK4 reaches 2 sqrt(2) up the imaginary axis,
+# so the limit is 2 sqrt(2) / 2.309 = sqrt(6)/2 = 1.22; where gap dominates
+# it is 2 sqrt(2) / 1.372 = 2.06.  The damping and the lower-order rows
+# are left out; the march blows up at 2.0 on criterion 7's table.  The step
+# is 0.85 of the limit, about 1.04.
+_CFL = 0.85 * np.sqrt(6.0) / 2.0
 _PIN_CELLS = 4       # right-edge cells re-imposed from pin_right
 
 

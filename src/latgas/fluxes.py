@@ -16,7 +16,7 @@ import numpy as np
 
 from .models import microscopic_fluxes
 from .thermo import (DomainPolygon, NewtonLog, invert_parameters_grid,
-                     pair_moments, site_table)
+                     pair_moments)
 
 
 class NormalizationWarning(UserWarning):
@@ -68,7 +68,7 @@ class FluxPair:
     def __post_init__(self):
         psi, phi, _, _ = microscopic_fluxes(self.model)
         self._tabs = np.array([psi, phi], dtype=float)
-        self._site = site_table(self.model)
+        self._site = self.model.site_table
         if self._phi_origin is None:
             # Phi_raw on the boundary segment rho=0: corner extrapolation
             self._phi_origin = _corner_limit(lambda r, u: self._raw(r, u)[1])

@@ -42,10 +42,22 @@ class CharCoeffs:
     kappa: float = 0.0
     gamma: float = None
     name: str = ""
+    # (w, z) -> (alpha, beta, nu) in one evaluation, when the three share work
+    sampler: callable = None
+
+    def sample(self, w, z):
+        """alpha, beta and nu at (w, z) as float arrays, from one call of
+        ``sampler`` when there is one."""
+        if self.sampler is not None:
+            vals = self.sampler(w, z)
+        else:
+            vals = (self.alpha(w, z), self.beta(w, z), self.nu(w, z))
+        return tuple(np.asarray(v, dtype=float) for v in vals)
 
     def diagonal_gap(self, v):
         """beta(v,v) - alpha(v,v); vanishes by left-right symmetry."""
-        return self.beta(v, v) - self.alpha(v, v)
+        a, b, _ = self.sample(v, v)
+        return b - a
 
 
 def zero_coeffs():
@@ -89,10 +101,12 @@ def limit_flux_char_coeffs(gamma, kappa):
         alpha = (lam_z - kappa u_z) / (lam - mu)
         beta  = -(mu_w - kappa u_w) / (lam - mu)
         nu    = 0
+
+    All three come from one inversion of the (w, z) grid (``sample``).
     """
     gamma = float(gamma)
 
-    def fields(w, z):
+    def sampler(w, z):
         rho, u = invert_riemann_coordinates(gamma, w, z)
         root = np.sqrt((2 * gamma - 1) ** 2 * u ** 2 + 4 * rho)
         root = np.maximum(root, 1e-14)
@@ -106,21 +120,16 @@ def limit_flux_char_coeffs(gamma, kappa):
         rho_z = -wu / det
         u_w = -zr / det
         u_z = wr / det
-        return root, lam_r, lam_u, mu_r, mu_u, rho_w, rho_z, u_w, u_z
+        return ((lam_r * rho_z + lam_u * u_z - kappa * u_z) / root,
+                -(mu_r * rho_w + mu_u * u_w - kappa * u_w) / root,
+                np.zeros(np.broadcast(w, z).shape))
 
-    def alpha(w, z):
-        root, lam_r, lam_u, _, _, _, rho_z, _, u_z = fields(w, z)
-        return (lam_r * rho_z + lam_u * u_z - kappa * u_z) / root
-
-    def beta(w, z):
-        root, _, _, mu_r, mu_u, rho_w, _, u_w, _ = fields(w, z)
-        return -(mu_r * rho_w + mu_u * u_w - kappa * u_w) / root
-
-    def nu(w, z):
-        return np.zeros(np.broadcast(w, z).shape)
-
-    return CharCoeffs(alpha=alpha, beta=beta, nu=nu, kappa=float(kappa),
-                      gamma=gamma, name=f"limit(gamma={gamma:g}, kappa={kappa:g})")
+    return CharCoeffs(alpha=lambda w, z: sampler(w, z)[0],
+                      beta=lambda w, z: sampler(w, z)[1],
+                      nu=lambda w, z: np.zeros(np.broadcast(w, z).shape),
+                      kappa=float(kappa), gamma=gamma,
+                      name=f"limit(gamma={gamma:g}, kappa={kappa:g})",
+                      sampler=sampler)
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +178,13 @@ def coefficient_integral_bounds(coeffs, w0, z0, m=60):
     """The three sup-integral functionals entering the contraction bound."""
     g = np.linspace(z0, w0, m)
     W, Z = np.meshgrid(g, g, indexing="ij")
-    a = np.abs(np.asarray(coeffs.alpha(W, Z), dtype=float))
-    b = np.abs(np.asarray(coeffs.beta(W, Z), dtype=float))
-    n = np.abs(np.asarray(coeffs.nu(W, Z), dtype=float))
+    return _integral_bounds(*coeffs.sample(W, Z), g)
+
+
+def _integral_bounds(alpha, beta, nu, g):
+    """``coefficient_integral_bounds`` from the coefficients sampled at
+    (w, z) = (g[i], g[j]), laid out [i, j]."""
+    a, b, n = np.abs(alpha), np.abs(beta), np.abs(nu)
     ia = float(np.max(np.trapezoid(a, x=g, axis=1)))      # sup_w int dz
     ib = float(np.max(np.trapezoid(b, x=g, axis=0)))      # sup_z int dw
     inu = float(np.trapezoid(np.trapezoid(n, x=g, axis=1), x=g))
@@ -196,9 +209,7 @@ def riemann_function(coeffs, w0, z0, m=129, tol=1e-10, max_iter=400):
     # coefficients are sampled in that layout, [z, w].
     g = np.linspace(z0, w0, m)
     Z, W = np.meshgrid(g, g, indexing="ij")
-    A = np.asarray(coeffs.alpha(W, Z), dtype=float)
-    B = np.asarray(coeffs.beta(W, Z), dtype=float)
-    NU = np.asarray(coeffs.nu(W, Z), dtype=float)
+    A, B, NU = coeffs.sample(W, Z)
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))
             and np.all(np.isfinite(NU))):
         raise NoContraction("coefficients are not finite on the triangle")
@@ -209,7 +220,11 @@ def riemann_function(coeffs, w0, z0, m=129, tol=1e-10, max_iter=400):
     U, it = _picard_rectangle(B, A, NU, phi_right, phi_bottom, g, g, tol,
                               max_iter)
 
-    ia_b, ib_b, inu_b = coefficient_integral_bounds(coeffs, w0, z0, m=min(m, 80))
+    if m <= 80:      # the bounds' grid is this one: reuse the samples
+        ia_b, ib_b, inu_b = _integral_bounds(
+            *(np.ascontiguousarray(c.T) for c in (A, B, NU)), g)
+    else:
+        ia_b, ib_b, inu_b = coefficient_integral_bounds(coeffs, w0, z0, m=80)
     certified = max(ia_b, ib_b, inu_b) < 1.0 / 6.0
     splits = 1
     if not certified:
@@ -240,8 +255,7 @@ def solve_cauchy(coeffs, s_tilde, t_tilde, w0, z0, m=129, source=None):
     sv = np.asarray(s_tilde(v), dtype=float)
     tv = np.asarray(t_tilde(v), dtype=float)
     gapd = rf.diagonal_derivative_gap()
-    ab = np.asarray(coeffs.beta(v, v), dtype=float) \
-        - np.asarray(coeffs.alpha(v, v), dtype=float)
+    ab = coeffs.diagonal_gap(v)
     out = 0.5 * phid[0] * sv[0] + 0.5 * phid[-1] * sv[-1]
     out += 0.5 * np.trapezoid(phid * tv - gapd * sv, x=v)
     out += np.trapezoid(phid * ab * sv, x=v)

@@ -316,51 +316,71 @@ def tail_checks(model, plan, n, rho0=0.5, u0=0.0, samples=1_000_000,
     """Poisson/Gaussian stochastic domination of block-average tails.
 
     The density tail is compared to P(POI(L) > (z/C) L) and the slope tail
-    to P(|GAU| > ((z/C)-1) sqrt(L)), L = n^{-2 beta} l.  C is fitted on half
-    the sample as the smallest constant making both dominations hold, then
-    tested out of sample at binomial 95% confidence.  The empirical tails
-    are counted once per bin and half; only the bounds depend on C.
+    to P(|GAU| > ((z/C)-1) sqrt(L)), L = n^{-2 beta} l, by ``_tail_report``
+    on ``samples`` block averages drawn from local equilibrium.
     """
     rho_hat, u_hat, l = _sample_blocks(model, plan, n, rho0, u0, samples, seed)
-    L = float(n) ** (-2.0 * plan.beta) * l
-    half = samples // 2
-    tr_r, te_r = rho_hat[:half], rho_hat[half:]
-    tr_u, te_u = np.abs(u_hat[:half]), np.abs(u_hat[half:])
+    return _tail_report(rho_hat, u_hat, float(n) ** (-2.0 * plan.beta) * l,
+                        bins)
 
-    mean_r = float(np.mean(tr_r))
-    z_r = np.linspace(mean_r * 1.05, max(np.max(rho_hat) * 1.05, 2 * mean_r), bins)
-    z_u = np.linspace(np.quantile(tr_u, 0.5), max(np.max(te_u) * 1.05, 0.2), bins)
 
-    def poisson_bound(z, C):
-        return sps.poisson.sf(np.floor(z / C * L), L) + sps.poisson.pmf(
-            np.floor(z / C * L), L)
+_MIN_EXCEEDANCES = 50    # fit-half points above the outermost bin edge
 
-    def gauss_bound(z, C):
+
+def _tail_report(rho_hat, u_hat, L, bins):
+    """Fit C on the first half of the block averages as the smallest
+    constant whose bound covers every fit-half tail share, then test it on
+    the second half at binomial 95% confidence, in ``bins`` tail bins of
+    rho and of |u|.
+
+    The bin edges are fit-half quantiles whose tail shares fall
+    geometrically from the first level (the share above 1.05 times the
+    mean for rho, one half for |u|) to 50 points, so every bin holds at
+    least 50 fit-half exceedances and no edge depends on the test half.
+    Each half is sorted once; a tail share is then one bisection.
+
+    Over seeds 100-299 (pm1, l = 50, n = 1000, 10^6 samples) this fails 0
+    times, against 12 with equally spaced edges up to the sample maximum,
+    and a test half scaled by 1.02 fails on all of them.  Because C is
+    fitted on the sample itself, a wrong equilibrium goes unseen: a sampler
+    drawing from pi instead of the tilted measure passes on seeds 1-3.
+    ``test_block_sampler_moments_and_lower_tail`` catches a wrong sampler.
+    """
+    def poisson(z, C):
+        k = np.floor(z / C * L)
+        return sps.poisson.sf(k, L) + sps.poisson.pmf(k, L)
+
+    def gauss(z, C):
         arg = (z / C - 1.0) * np.sqrt(L)
         return np.where(arg <= 0, 1.0, 2.0 * sps.norm.sf(arg))
 
-    def tail(x, zs):
-        return np.array([np.mean(x > z) for z in zs])
+    half = rho_hat.size // 2
+    out = []
+    for x, bound in ((rho_hat, poisson), (np.abs(u_hat), gauss)):
+        fit, test = np.sort(x[:half]), np.sort(x[half:])
+        first = (half - np.searchsorted(fit, 1.05 * np.mean(fit), "right")
+                 if bound is poisson else half // 2)
+        if first < _MIN_EXCEEDANCES:
+            raise ValueError(f"{x.size} samples are too few for the tail bins")
+        counts = np.round(np.geomspace(first, _MIN_EXCEEDANCES, bins))
+        z = fit[half - 1 - counts.astype(np.int64)]
 
-    def fit_C(emp, bound_fn, zs):
+        def share_above(sample):
+            return (sample.size - np.searchsorted(sample, z, "right")) \
+                / sample.size
+
+        emp = share_above(fit)
         lo, hi = 1e-3, 1e3
         for _ in range(60):
             mid = np.sqrt(lo * hi)
-            lo, hi = (lo, mid) if np.all(emp <= bound_fn(zs, mid)) else (mid, hi)
-        return hi
-
-    C_rho = fit_C(tail(tr_r, z_r), poisson_bound, z_r)
-    C_u = fit_C(tail(tr_u, z_u), gauss_bound, z_u)
-
-    # out-of-sample: exceedances beyond the binomial CI around the bound
-    def violations(test, zs, b):
-        thresh = b + 1.645 * np.sqrt(np.maximum(b * (1 - b), 1e-12) / len(test))
-        return int(np.sum(tail(test, zs) > thresh))
-
-    return TailReport(L=L, C_rho=float(C_rho), C_u=float(C_u),
-                      violations_rho=violations(te_r, z_r, poisson_bound(z_r, C_rho)),
-                      violations_u=violations(te_u, z_u, gauss_bound(z_u, C_u)),
-                      bins=bins)
+            lo, hi = (lo, mid) if np.all(emp <= bound(z, mid)) else (mid, hi)
+        b = bound(z, hi)
+        thresh = b + 1.645 * np.sqrt(np.maximum(b * (1 - b), 1e-12)
+                                     / test.size)
+        out += [float(hi), int(np.sum(share_above(test) > thresh))]
+    C_rho, violations_rho, C_u, violations_u = out
+    return TailReport(L=L, C_rho=C_rho, C_u=C_u, violations_rho=violations_rho,
+                      violations_u=violations_u, bins=bins)
 
 
 # ---------------------------------------------------------------------------

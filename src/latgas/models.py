@@ -13,6 +13,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -57,6 +58,17 @@ class SpinModel:
     @property
     def nstates(self):
         return len(self.labels)
+
+    @cached_property
+    def site_table(self):
+        """The read-only ``(6, k)`` rows the tilt kernels read: ``log pi``
+        (``-inf`` where ``pi = 0``), then the weights of the five moment sums
+        ``eta``, ``zeta``, ``eta^2``, ``eta zeta`` and ``zeta^2``.  Built on
+        first use, once per model."""
+        pi, eta, zeta = self.pi, self.eta, self.zeta
+        logpi = np.log(pi, where=pi > 0, out=np.full(self.nstates, -np.inf))
+        return _frozen([logpi, eta, zeta, eta * eta, eta * zeta, zeta * zeta],
+                       dtype=float)
 
     @property
     def zeta_half_units(self):

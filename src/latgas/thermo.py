@@ -31,11 +31,11 @@ def tilted(model, tau, theta):
     is elementwise over the points, and ``Z`` sums the states one at a time,
     so no point's measure depends on the others in the call.
     """
-    return _tilted_site(site_table(model), tau, theta)
+    return _tilted_site(model.site_table, tau, theta)
 
 
 def _tilted_site(site, tau, theta):
-    """``tilted`` from the rows of ``site_table``."""
+    """``tilted`` from the rows of ``model.site_table``."""
     tau = np.asarray(tau, dtype=float)
     theta = np.asarray(theta, dtype=float)
     col = (site.shape[1],) + (1,) * max(tau.ndim, theta.ndim)
@@ -157,17 +157,6 @@ class NewtonLog:
 
     def reset(self):
         self.calls, self.iterations, self.residual = 0, 0, 0.0
-
-
-def site_table(model):
-    """The ``(6, k)`` rows the tilt kernels read: ``log pi`` (``-inf`` where
-    ``pi = 0``), then the weights of the five moment sums ``eta``, ``zeta``,
-    ``eta^2``, ``eta zeta`` and ``zeta^2``."""
-    pi = model.pi
-    logpi = np.log(pi, where=pi > 0, out=np.full(model.nstates, -np.inf))
-    eta, zeta = model.eta, model.zeta
-    return np.array([logpi, eta, zeta, eta * eta, eta * zeta, zeta * zeta],
-                    dtype=float)
 
 
 def _sum_terms(a, w):
@@ -479,7 +468,7 @@ def invert_parameters_grid(model, rho, u, tol=1e-12, max_iter=100):
     shape = np.broadcast(rho, u).shape
     rho_f = np.ascontiguousarray(np.broadcast_to(rho, shape).reshape(-1))
     u_f = np.ascontiguousarray(np.broadcast_to(u, shape).reshape(-1))
-    site = site_table(model)
+    site = model.site_table
     m0 = float(model.pi @ model.eta)
     res, p, iterations, worst, bad = _resolve_kernel()[0](
         site, m0, rho_f, u_f, tol, max_iter)
@@ -494,7 +483,7 @@ def invert_parameters_grid(model, rho, u, tol=1e-12, max_iter=100):
 def pair_moments(site, p, tabs):
     """Expectations of pair currents under product tilted measures.
 
-    ``site`` is ``site_table(model)``, ``p`` the ``(n, k)`` tilted measures
+    ``site`` is ``model.site_table``, ``p`` the ``(n, k)`` tilted measures
     and ``tabs`` a stack of ``(k, k)`` pair-current tables f(a, b).  Returns
     a ``(3 len(tabs) + 3, n)`` array: for each table the value
     ``sum_ab p_a f(a, b) p_b`` and its exact partials in rho and u (the

@@ -14,7 +14,8 @@ import pytest
 from scipy.linalg import expm
 
 from latgas import build_model, macroscopic_flux, validate_conditions
-from latgas.entropy import build_entropy, characteristic_curve, verify_bounds
+from latgas.entropy import (build_entropy, characteristic_curve, limit_curve,
+                            verify_bounds)
 from latgas.fields import l1_distance
 from latgas.fluxes import onsager_residual
 from latgas.goursat import (goursat_solve_rectangle, limit_flux_char_coeffs,
@@ -209,19 +210,23 @@ def test_criterion_5_pde_solver():
 
 def test_criterion_6_riemann_invariants():
     fl = LimitFlux(2.0)
-    worst = 0.0
+    worst = gap = 0.0
     for r in (0.01, 0.1, 0.5):
         us, rhos = characteristic_curve(fl, r, 0.5, u_min=0.0)
         _, z = riemann_invariants(2.0, rhos, us)
         z_ref = riemann_invariants(2.0, r, 0.0)[1]
         worst = max(worst, float(np.max(np.abs(z - z_ref))))
+        # the RK4 curve against the closed-form level set, relative to r
+        gap = max(gap, float(np.max(np.abs(rhos - limit_curve(2.0, r, us))))
+                  / r)
     concave_ok = True
     for g in (1.5, 2.0):
         line = level_line(g, 0.8, np.linspace(-0.4, 0.4, 21))
         concave_ok &= bool(np.all(np.diff(line, 2) <= 1e-8))
-    ok = worst <= 1e-6 and concave_ok
+    ok = worst <= 1e-6 and gap <= 1e-6 and concave_ok
     report(6, ok, f"invariant drift along characteristics <= {worst:.1e} "
-                  f"(tolerance 1e-6); level lines concave for gamma > 1")
+                  f"(tolerance 1e-6); level lines concave for gamma > 1; "
+                  f"RK4 curves within {gap:.1e} of the closed form")
 
 
 # -- criterion 7 ------------------------------------------------------------

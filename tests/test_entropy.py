@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 import latgas.entropy as ent
 from latgas import native
-from latgas.entropy import (CharGeometry, D1, D2, D3, LimitRows, ModelRows,
-                            SingularStart, _march_system, build_entropy,
-                            char_slope, characteristic_curve, cutoff_profile,
-                            d1_4, d2_4, max_box_in_d1, tabulated_slope,
+from latgas.entropy import (CharGeometry, D1, D2, D3, InconsistentOverlap,
+                            LimitRows, ModelRows, SingularStart,
+                            _march_system, build_entropy, char_slope,
+                            characteristic_curve, cutoff_profile, d1_4, d2_4,
+                            limit_curve, max_box_in_d1, tabulated_slope,
                             verify_bounds)
 from latgas.pde import (LimitFlux, ModelFluxView, ScaledFluxView,
                         riemann_invariants)
@@ -72,6 +73,29 @@ def test_characteristic_invariant_constancy():
         w2, _ = riemann_invariants(2.0, rhos2[live], -us2[live])
         w_ref = riemann_invariants(2.0, r, 0.0)[0]
         assert np.max(np.abs(w2 - w_ref)) < 1e-6
+
+
+@pytest.mark.parametrize("r_lo, r_hi, u_max", [(1.0, np.exp(4.0), 2.0),
+                                                (0.5, 0.5 * np.exp(4.0), 1.2)])
+def test_limit_curve_matches_rk4(r_lo, r_hi, u_max):
+    """The closed-form level sets on the RK4 curves' own nodes, for the
+    knots of criterion 7 and the benchmark's table (first case) and of the
+    small table: the same curve to 1e-12, 0 past the merge point, and one
+    value per point whatever else shares the call."""
+    fl = LimitFlux(2.0)
+    geom = CharGeometry(fl, r_lo, r_hi, u_max)
+    for r in (r_lo, r_hi):
+        us, rhos = characteristic_curve(fl, r, 1.05 * u_max)
+        exact = limit_curve(2.0, r, us)
+        assert np.max(np.abs(exact - rhos)) <= 1e-12
+        assert np.array_equal(geom.sigma(us, r), exact)
+        c = riemann_invariants(2.0, r, 0.0)[1]
+        assert np.all(exact[us <= -c] == 0.0) and np.all(exact[us > -c] > 0.0)
+        assert float(limit_curve(2.0, r, us[7])) == exact[7]
+        # z(lam^2 rho, lam u) = lam z(rho, u) carries the curve through
+        # (4 r, 0) onto this one
+        assert np.allclose(limit_curve(2.0, 4 * r, 2 * us), 4 * exact,
+                           rtol=1e-13, atol=1e-12 * r)
 
 
 def test_curve_initial_condition_and_monotonicity():
@@ -284,9 +308,9 @@ def test_scaled_two_lane_table_pinned():
     labels = np.ascontiguousarray(tab.labels, dtype=np.int8).tobytes()
     assert hashlib.sha256(labels).hexdigest() == (
         "ef22fa516194078ea8e4ed117ceba214026c3e5ff498868602273c8968aebfb7")
-    pinned = {"S_rho-1D2": 0.9998572530530138, "S_u": 0.23514918617582686,
-              "S_rr": 1.899738364751383, "S_ru": 2.0776506222443945,
-              "S_uu": 1.5722128032074048, "F-PsiS_rho": 0.0124025641676511,
+    pinned = {"S_rho-1D2": 0.9998577587078386, "S_u": 0.23514917049396736,
+              "S_rr": 1.899738364751383, "S_ru": 2.0776597843827105,
+              "S_uu": 1.5722391128622815, "F-PsiS_rho": 0.012402564630255991,
               "1-S_rho": 1.0}
     fits = verify_bounds(tab).fits
     assert set(fits) == set(pinned)
@@ -299,6 +323,15 @@ def test_scaled_two_lane_table_pinned():
     assert diag["newton_iterations"] <= 10
     assert 0.0 < diag["newton_residual"] < 1e-12
     assert diag["tilt_kernel"] == tilt_kernel()
+
+
+def test_march_fails_above_stability_limit(monkeypatch):
+    """A step of about twice the sqrt(6)/2 limit makes the march blow up,
+    and the overlap check against the closed forms catches it."""
+    monkeypatch.setattr(ent, "_CFL", 2.45)
+    with pytest.raises(InconsistentOverlap):
+        build_entropy(LimitFlux(2.0), 0.5, 0.5 * np.exp(4.0), u_max=0.6,
+                      n_rho=400, n_u=20)
 
 
 def test_fd_operators_exact_on_quartics():
@@ -380,17 +413,33 @@ def test_limit_table_pinned(small_table):
     assert hashlib.sha256(labels).hexdigest() == (
         "536fcbadc617ff97648af87cc051a0fbfa8029a01137eeefe93d21866a4a8081")
     res = float(np.abs(tab.pde_residual())[tab.interior_mask()].max())
-    for got, want in ((res, 0.00020604467446787376),
-                      (tab.flux_compat_error(), 7.112409196185548e-05)):
+    for got, want in ((res, 0.00020604167212726301),
+                      (tab.flux_compat_error(), 7.112404799343242e-05)):
         assert abs(got - want) <= 1e-12 * want
-    pinned = {"S_rho-1D2": 0.9999974822427798, "S_u": 0.26586594232534255,
-              "S_rr": 1.9644002650662773, "S_ru": 1.6056229703747733,
-              "S_uu": 1.827921915081269, "F-PsiS_rho": 0.021225485289445466,
+    pinned = {"S_rho-1D2": 0.9999974822427795, "S_u": 0.26586594180136075,
+              "S_rr": 1.9644066885467772, "S_ru": 1.6056297819968517,
+              "S_uu": 1.8279408911763833, "F-PsiS_rho": 0.02122548528940515,
               "1-S_rho": 1.0}
     fits = verify_bounds(tab).fits
     assert set(fits) == set(pinned)
     for name, want in pinned.items():
         assert abs(fits[name].constant - want) <= 1e-12 * abs(want)
+
+
+def test_step_doubling_error_below_residual(small_table, monkeypatch):
+    """The march's time error, estimated by halving the step, is under 1%
+    of the table's D3 residual: the residual is spatial error."""
+    monkeypatch.setattr(ent, "_CFL", ent._CFL / 2)
+    half = build_entropy(LimitFlux(2.0), 0.5, 0.5 * np.exp(4.0), u_max=1.2,
+                         n_rho=1200, n_u=140)
+    assert half.diagnostics["march_steps"] >= 2 * small_table.diagnostics[
+        "march_steps"] - 1
+    mask = small_table.interior_mask()
+    res = float(np.abs(small_table.pde_residual())[mask].max())
+    err = max(float(np.max(np.abs(getattr(small_table, k) - getattr(half, k))
+                           [mask]))
+              for k in ("S", "F", "S_rho", "S_u", "S_rr", "S_ru", "S_uu"))
+    assert 0.0 < err <= 0.01 * res
 
 
 def test_table_exact_regions(small_table):

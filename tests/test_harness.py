@@ -80,12 +80,28 @@ def test_tail_domination(pm1):
 
 
 def test_tail_report_pinned(pm1):
-    # literals recorded with a searchsorted sampler and the tails recounted
-    # at every bisection step; both shortcuts must reproduce them bit for bit
+    # literals recorded with bin edges at fit-half quantiles; the sampler
+    # and the sorted-half tail shares must reproduce them bit for bit
     rep = tail_checks(pm1, ScalingPlan(l=50), n=1000, samples=200_000, seed=11)
-    assert (rep.L, rep.C_rho, rep.C_u) == (50.0, 0.48708991969594323,
-                                           0.217219339237363)
-    assert (rep.violations_rho, rep.violations_u, rep.bins) == (0, 2, 24)
+    assert (rep.L, rep.C_rho, rep.C_u) == (50.0, 0.48600960833333345,
+                                           0.1941818568357633)
+    assert (rep.violations_rho, rep.violations_u, rep.bins) == (0, 1, 24)
+
+
+def test_tail_report_fails_on_scaled_test_half(pm1):
+    """Block averages whose test half is 10% larger than the fit half
+    break the fitted bounds in more bins than allowed."""
+    from latgas.harness import _tail_report
+
+    rho_hat, u_hat, _ = _sample_blocks(pm1, ScalingPlan(l=50), 1000, 0.5,
+                                       0.0, 200_000, 11)
+    assert _tail_report(rho_hat, u_hat, 50.0, 24).passed()
+    half = rho_hat.size // 2
+    rho_hat[half:] *= 1.1
+    u_hat[half:] *= 1.1
+    rep = _tail_report(rho_hat, u_hat, 50.0, 24)
+    assert not rep.passed()
+    assert rep.violations_rho > 12
 
 
 def test_block_sampler_matches_comparison_formula(pm1):

@@ -193,7 +193,7 @@ def test_c_inversion_matches_numpy(c_tilt):
     counts, and values that differ only through libm's exp and log against
     numpy's."""
     for name, model, rho, u in _kernel_grids():
-        site = thermo.site_table(model)
+        site = model.site_table
         m0 = float(model.pi @ model.eta)
         args = (site, m0, rho.ravel(), u.ravel(), 1e-12, 100)
         (res_c, p_c, it_c, worst_c, bad_c) = thermo._resolve_kernel()[0](*args)
@@ -228,7 +228,7 @@ def test_c_nonconvergence_message(c_tilt, pm1):
     with pytest.raises(NonConvergence) as exc:
         invert_parameters_grid(pm1, rho, u)
     assert str(exc.value) == "Newton failed at (rho,u)=(1.5,0)"
-    site, m0 = thermo.site_table(pm1), float(pm1.pi @ pm1.eta)
+    site, m0 = pm1.site_table, float(pm1.pi @ pm1.eta)
     for kernel in (thermo._resolve_kernel()[0], thermo._invert_py):
         assert kernel(site, m0, rho, u, 1e-12, 100)[-1] == 2
         # too few iterations for any point
@@ -245,7 +245,7 @@ def test_numpy_tilt_without_compiler(monkeypatch, pm1, two_lane):
     rho, u = np.array([1e-11, 0.2, 0.6]), np.array([0.0, -0.1, 0.3])
     sol = invert_parameters_grid(pm1, rho, u)
     res, p, it, worst, _ = thermo._invert_py(
-        thermo.site_table(pm1), float(pm1.pi @ pm1.eta), rho, u, 1e-12, 100)
+        pm1.site_table, float(pm1.pi @ pm1.eta), rho, u, 1e-12, 100)
     for got, want in zip(sol, res):
         assert np.array_equal(got, want)
     assert np.array_equal(sol.p, p)
@@ -266,3 +266,13 @@ def test_pair_moments_rejects_mismatched_shapes(pm1_flux):
                  (site, p, tabs[:, :2]), (site[:, :2], p, tabs)):
         with pytest.raises(ValueError):
             thermo.pair_moments(*args)
+
+
+def test_site_table_built_once_and_read_only(pm1):
+    """Every tilt solve on a model reads the one site table it built."""
+    site = pm1.site_table
+    assert site is pm1.site_table and not site.flags.writeable
+    assert site.shape == (6, pm1.nstates)
+    assert np.array_equal(site[3], pm1.eta * pm1.eta)
+    with pytest.raises(ValueError):
+        site[0, 0] = 0.0
