@@ -88,8 +88,8 @@ def cmd_fluxes(args):
     return 0
 
 
-def _resolve_out(args, default="latgas-out"):
-    return args.out if args.out else default
+def _resolve_out(args):
+    return args.out if args.out else "latgas-out"
 
 
 def cmd_simulate(args):
@@ -142,6 +142,7 @@ def _flux_from_spec(spec, gamma):
 
 def cmd_solve_pde(args):
     from .pde import solve
+    from .sim import snapshot_rows
 
     flux = _flux_from_spec(args.flux, args.gamma)
     rho0 = lambda x: args.rho_base + args.rho_amp * np.sin(2 * np.pi * x)
@@ -152,12 +153,9 @@ def cmd_solve_pde(args):
     args.out = _resolve_out(args)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "pde.csv")
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["t", "x", "rho", "u"])
-        for t, fr, fu in run.snapshots:
-            for x, r, u in zip(fr.x(), fr.values, fu.values):
-                wr.writerow([f"{t:.10g}", f"{x:.10g}", f"{r:.10g}", f"{u:.10g}"])
+    # \r\n line ends, as the csv module writes them
+    np.savetxt(path, snapshot_rows(run.snapshots), fmt="%.10g", delimiter=",",
+               newline="\r\n", header="t,x,rho,u", comments="")
     print(f"solved to t={args.t_end} on m={args.m} ({run.steps} steps), "
           f"blowup_time={run.blowup_time}")
     _write_manifest(args.out, "solve-pde", _params(args), [path])

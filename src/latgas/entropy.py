@@ -17,7 +17,6 @@ differencing S.
 from __future__ import annotations
 
 import bisect
-import csv
 import ctypes
 import time
 from dataclasses import dataclass, field
@@ -28,7 +27,7 @@ from scipy.integrate import cumulative_simpson
 from scipy.interpolate import PchipInterpolator
 
 from . import native
-from .pde import LimitFlux, riemann_invariant_gradients, riemann_invariants
+from .pde import LimitFlux, riemann_invariants, z_level_set
 from .thermo import tilt_kernel
 
 
@@ -165,35 +164,14 @@ def characteristic_curve(flux, r, u_max, u_min=None, slope_fn=None):
 
 def limit_curve(gamma, r, u):
     """The limit flux's characteristic through (r, 0), at every u of an
-    array: the level set z(rho, u) = z(r, 0) of the Riemann invariant z.
-
-    z is homogeneous of degree 1, z(lam^2 rho, lam u) = lam z(rho, u), so
-    with c = z(r, 0) the curve is rho = c^2 q(u / c), where q solves
-    z(q, s) = 1.  Newton's method finds q from the gamma = 1 curve
-    q = 1 + s, and each point stops on its own step, so its value does not
-    depend on the other points in the call.  The curve is exactly 0 for
-    u <= -c, where it has merged into rho = 0.  Needs gamma > 3/4, where z
-    is the invariant carried along the characteristics ``char_slope``
-    follows.
+    array: the level set z(rho, u) = z(r, 0) of the Riemann invariant z
+    (``z_level_set``), exactly 0 for u <= -z(r, 0).  Needs gamma > 3/4,
+    where z is the invariant carried along the characteristics
+    ``char_slope`` follows.
     """
     if r <= 0:
         raise SingularStart("the characteristic ODE is singular at r = 0")
-    c = float(riemann_invariants(gamma, r, 0.0)[1])
-    u = np.asarray(u, dtype=float)
-    s = u.reshape(-1) / c
-    q = np.where(s > -1.0, 1.0 + s, 0.0)
-    todo = np.flatnonzero(q)
-    for _ in range(60):
-        if todo.size == 0:
-            break
-        qt, st = q[todo], s[todo]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = riemann_invariants(gamma, qt, st)[1]
-            z_q = riemann_invariant_gradients(gamma, qt, st)[2]
-        step = (z - 1.0) / z_q
-        q[todo] = qt = np.maximum(qt - step, 0.5 * qt)
-        todo = todo[np.abs(step) > 1e-13 * np.maximum(qt, 1.0)]
-    return (c * c * q).reshape(u.shape)
+    return z_level_set(gamma, float(riemann_invariants(gamma, r, 0.0)[1]), u)
 
 
 @dataclass
@@ -210,9 +188,9 @@ class CharGeometry:
     r_lo: float
     r_hi: float
     u_max: float
-    curves: dict = field(default_factory=dict)
-    C1: float = None
-    C2: float = None
+    curves: dict = field(init=False, default_factory=dict)
+    C1: float = field(init=False)
+    C2: float = field(init=False)
 
     def __post_init__(self):
         self._slope_fn = None
@@ -778,6 +756,9 @@ def _march_system(coeffs, fields0, u_levels, hyper, pin_right=None,
 # the assembled table
 
 
+_KINK_FRAC = 0.14    # the kink band's width relative to the knot radius
+
+
 @dataclass
 class EntropyTable:
     rho: np.ndarray          # (nr,)
@@ -812,16 +793,15 @@ class EntropyTable:
     def meshgrid(self):
         return np.meshgrid(self.rho, self.u)
 
-    def interior_mask(self, margin_cells=5, singular_margin_cells=8,
-                      kink_frac=0.14):
+    def interior_mask(self, margin_cells=5, singular_margin_cells=8):
         """D3 cells whose residual stencil avoids both the partition
         boundary and the kink characteristics through (r_lo,0), (r_hi,0).
 
         The entropy is C^1 but not C^2 across the characteristics emanating
         from the profile knots; the classical equation holds off them, so
         residuals are only meaningful at a distance.  The excluded band has a
-        fixed physical width (kink_frac * knot radius) plus a stencil-width
-        allowance, so refinement studies measure a fixed region.
+        fixed physical width (``_KINK_FRAC`` times the knot radius) plus a
+        stencil-width allowance, so refinement studies measure a fixed region.
         """
         ok = _erode(self.labels == D3, margin_cells)
         rho = self.rho
@@ -835,7 +815,7 @@ class EntropyTable:
                 slope = np.abs(np.gradient(sig, h_u, axis=0))
                 width = np.maximum(
                     singular_margin_cells * (h_r + slope * h_u),
-                    kink_frac * (r + np.sqrt(r) * au))
+                    _KINK_FRAC * (r + np.sqrt(r) * au))
                 ok &= np.abs(rho - sig) > width
             # the down-branch kink merges into rho = 0 at a corner where the
             # construction degenerates; exclude a fixed ball around it
@@ -896,20 +876,14 @@ class EntropyTable:
         return float(max(err_r / scale, err_u / scale))
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["rho", "u", "S", "F", "S_rho", "S_u", "S_rr",
-                         "S_ru", "S_uu", "domain_label"])
-            for i, uu in enumerate(self.u):
-                for j, rr in enumerate(self.rho):
-                    wr.writerow([f"{rr:.10g}", f"{uu:.10g}",
-                                 f"{self.S[i, j]:.10g}", f"{self.F[i, j]:.10g}",
-                                 f"{self.S_rho[i, j]:.10g}",
-                                 f"{self.S_u[i, j]:.10g}",
-                                 f"{self.S_rr[i, j]:.10g}",
-                                 f"{self.S_ru[i, j]:.10g}",
-                                 f"{self.S_uu[i, j]:.10g}",
-                                 int(self.labels[i, j])])
+        RR, UU = self.meshgrid()
+        cols = (RR, UU, self.S, self.F, self.S_rho, self.S_u, self.S_rr,
+                self.S_ru, self.S_uu, self.labels)
+        # \r\n line ends, as the csv module writes them
+        np.savetxt(path, np.column_stack([c.ravel() for c in cols]),
+                   fmt=["%.10g"] * 9 + ["%d"], delimiter=",", newline="\r\n",
+                   header="rho,u,S,F,S_rho,S_u,S_rr,S_ru,S_uu,domain_label",
+                   comments="")
 
 
 _BLOCK_CELLS = 1 << 14
@@ -1110,16 +1084,18 @@ def build_entropy(flux, r_lo, r_hi, n=None, beta=0.5, u_max=None, n_rho=None,
 # bound verification
 
 
+_SUPPORT_TOL = 1e-8   # the largest support leak (|quantity| outside D3)
+
+
 @dataclass
 class BoundFit:
     name: str
     constant: float
     argmax: tuple
     support_leak: float
-    envelope: str = ""
 
-    def ok(self, support_tol=1e-8):
-        return np.isfinite(self.constant) and self.support_leak <= support_tol
+    def ok(self):
+        return np.isfinite(self.constant) and self.support_leak <= _SUPPORT_TOL
 
 
 @dataclass

@@ -3,7 +3,7 @@ the empirical block-average fields."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -30,10 +30,6 @@ def _richardson(f, x, y, h, mode):
     """Second-order centered differences extrapolated once (h, h/2)."""
 
     def d(hh):
-        if mode == "rho":
-            return (f(x + hh, y) - f(x - hh, y)) / (2 * hh)
-        if mode == "u":
-            return (f(x, y + hh) - f(x, y - hh)) / (2 * hh)
         if mode == "uu":
             return (f(x, y + hh) - 2 * f(x, y) + f(x, y - hh)) / hh ** 2
         if mode == "rho_u":
@@ -55,35 +51,32 @@ class FluxPair:
 
     model: object
     domain: DomainPolygon
-    gamma: float = None
-    psi_ru_origin: float = None
+    gamma: float = field(init=False)
+    psi_ru_origin: float = field(init=False)
     # the (2, k, k) pair-current tables of Psi and Phi_raw
-    _tabs: np.ndarray = field(default=None, repr=False)
-    _site: np.ndarray = field(default=None, repr=False)
-    _phi_origin: float = field(default=None, repr=False)
+    _tabs: np.ndarray = field(init=False, repr=False)
+    _site: np.ndarray = field(init=False, repr=False)
+    _phi_origin: float = field(init=False, repr=False)
     # the tilt solves made by this flux (``build_entropy`` reads it)
-    newton: NewtonLog = field(default_factory=NewtonLog, repr=False,
-                              compare=False)
+    newton: NewtonLog = field(init=False, default_factory=NewtonLog,
+                              repr=False, compare=False)
 
     def __post_init__(self):
         psi, phi, _, _ = microscopic_fluxes(self.model)
         self._tabs = np.array([psi, phi], dtype=float)
         self._site = self.model.site_table
-        if self._phi_origin is None:
-            # Phi_raw on the boundary segment rho=0: corner extrapolation
-            self._phi_origin = _corner_limit(lambda r, u: self._raw(r, u)[1])
-        if self.gamma is None:
-            self.gamma = 0.5 * _corner_limit(
-                lambda r, u: _richardson(lambda a, b: self._raw(a, b)[1],
-                                         r, u, FD_STEP, "uu"))
-        if self.psi_ru_origin is None:
-            self.psi_ru_origin = _corner_limit(
-                lambda r, u: _richardson(lambda a, b: self._raw(a, b)[0],
-                                         r, u, FD_STEP, "rho_u"))
-            if abs(self.psi_ru_origin - 1.0) > 1e-6:
-                warnings.warn(
-                    f"Psi_ru(0,0) = {self.psi_ru_origin:.8f} != 1; rescale time",
-                    NormalizationWarning)
+        # Phi_raw on the boundary segment rho=0: corner extrapolation
+        self._phi_origin = _corner_limit(lambda r, u: self._raw(r, u)[1])
+        self.gamma = 0.5 * _corner_limit(
+            lambda r, u: _richardson(lambda a, b: self._raw(a, b)[1],
+                                     r, u, FD_STEP, "uu"))
+        self.psi_ru_origin = _corner_limit(
+            lambda r, u: _richardson(lambda a, b: self._raw(a, b)[0],
+                                     r, u, FD_STEP, "rho_u"))
+        if abs(self.psi_ru_origin - 1.0) > 1e-6:
+            warnings.warn(
+                f"Psi_ru(0,0) = {self.psi_ru_origin:.8f} != 1; rescale time",
+                NormalizationWarning)
 
     def _tilted(self, rho, u):
         rho = np.asarray(rho, dtype=float)
@@ -156,11 +149,11 @@ class FluxPair:
         (_, pr, pu), (_, fr, fu) = self._raw_with_grads(rho, u)
         return pr, pu, fr, fu
 
-    def Phi_uu(self, rho, u, h=FD_STEP):
-        return _richardson(self.Phi, rho, u, h, "uu")
+    def Phi_uu(self, rho, u):
+        return _richardson(self.Phi, rho, u, FD_STEP, "uu")
 
-    def Psi_rho_u(self, rho, u, h=FD_STEP):
-        return _richardson(self.Psi, rho, u, h, "rho_u")
+    def Psi_rho_u(self, rho, u):
+        return _richardson(self.Psi, rho, u, FD_STEP, "rho_u")
 
     def export_csv(self, path, rho_grid, u_grid):
         """Write a `rho,u,Psi,Phi,Psi_rho,Psi_u,Phi_rho,Phi_u` table over
@@ -179,17 +172,19 @@ class FluxPair:
                              for v in (r, u, *self.bundle(r, u))])
 
 
-def _corner_limit(f, eps0=0.2, levels=3):
+_CORNER_EPS = 0.2 / 2.0 ** np.arange(3)   # eps of the Richardson levels
+
+
+def _corner_limit(f):
     """Limit of f(eps^2, 0) as eps -> 0 by Richardson in eps^2.
 
     The corner (0,0) sits on the domain boundary, so quantities there are
     defined as limits along rho = eps^2; the low-density expansion makes the
     error analytic in rho = eps^2.
     """
-    eps = eps0 / 2.0 ** np.arange(levels)
-    vals = np.array([float(f(e ** 2, 0.0)) for e in eps])
+    vals = np.array([float(f(e ** 2, 0.0)) for e in _CORNER_EPS])
     # vals(e) = L + c1 e^2 + c2 e^4 + ...
-    for k in range(1, levels):
+    for k in range(1, len(_CORNER_EPS)):
         fac = 4.0 ** k
         vals = (fac * vals[1:] - vals[:-1]) / (fac - 1.0)
     return float(vals[0])

@@ -28,7 +28,7 @@ class NoContraction(RuntimeError):
 
 @dataclass
 class CharCoeffs:
-    """Coefficient functions alpha, beta, nu of (w, z) plus metadata.
+    """The coefficients alpha, beta, nu as one function of (w, z).
 
     For the limit fluxes the four differentiated entropy equations have
     constant zero-order structure A = kappa in {1, 2g-1, 2, 2g}, B = G = 0,
@@ -36,23 +36,12 @@ class CharCoeffs:
     coordinates.
     """
 
-    alpha: callable
-    beta: callable
-    nu: callable
-    kappa: float = 0.0
-    gamma: float = None
-    name: str = ""
-    # (w, z) -> (alpha, beta, nu) in one evaluation, when the three share work
-    sampler: callable = None
+    # (w, z) -> (alpha, beta, nu): the three share one evaluation
+    sampler: callable
 
     def sample(self, w, z):
-        """alpha, beta and nu at (w, z) as float arrays, from one call of
-        ``sampler`` when there is one."""
-        if self.sampler is not None:
-            vals = self.sampler(w, z)
-        else:
-            vals = (self.alpha(w, z), self.beta(w, z), self.nu(w, z))
-        return tuple(np.asarray(v, dtype=float) for v in vals)
+        """alpha, beta and nu at (w, z) as float arrays."""
+        return tuple(np.asarray(v, dtype=float) for v in self.sampler(w, z))
 
     def diagonal_gap(self, v):
         """beta(v,v) - alpha(v,v); vanishes by left-right symmetry."""
@@ -61,11 +50,17 @@ class CharCoeffs:
 
 
 def zero_coeffs():
-    z = lambda w, zz: np.zeros(np.broadcast(w, zz).shape)
-    return CharCoeffs(alpha=z, beta=z, nu=z, kappa=0.0, name="zero")
+    def sampler(w, z):
+        return tuple(np.zeros(np.broadcast(w, z).shape) for _ in range(3))
+
+    return CharCoeffs(sampler)
 
 
-def invert_riemann_coordinates(gamma, w, z, tol=1e-12, max_iter=60):
+# Newton stops once both invariants are within the tolerance
+_INVERT_TOL, _INVERT_MAX_ITER = 1e-12, 60
+
+
+def invert_riemann_coordinates(gamma, w, z):
     """Newton inversion of (rho, u) -> (w, z) for the limit fluxes.
 
     Seeds with the gamma = 1 closed form (rho = w z, u = w - z), which is in
@@ -78,11 +73,11 @@ def invert_riemann_coordinates(gamma, w, z, tol=1e-12, max_iter=60):
     zf = np.broadcast_to(z, shape).reshape(-1).copy()
     rho = np.maximum(wf * zf, 1e-14)
     u = wf - zf
-    for _ in range(max_iter):
+    for _ in range(_INVERT_MAX_ITER):
         cw, cz = riemann_invariants(gamma, rho, u)
         f1 = cw - wf
         f2 = cz - zf
-        if max(np.max(np.abs(f1)), np.max(np.abs(f2))) < tol:
+        if max(np.max(np.abs(f1)), np.max(np.abs(f2))) < _INVERT_TOL:
             break
         wr, wu, zr, zu = riemann_invariant_gradients(gamma, rho, u)
         det = wr * zu - wu * zr
@@ -124,12 +119,7 @@ def limit_flux_char_coeffs(gamma, kappa):
                 -(mu_r * rho_w + mu_u * u_w - kappa * u_w) / root,
                 np.zeros(np.broadcast(w, z).shape))
 
-    return CharCoeffs(alpha=lambda w, z: sampler(w, z)[0],
-                      beta=lambda w, z: sampler(w, z)[1],
-                      nu=lambda w, z: np.zeros(np.broadcast(w, z).shape),
-                      kappa=float(kappa), gamma=gamma,
-                      name=f"limit(gamma={gamma:g}, kappa={kappa:g})",
-                      sampler=sampler)
+    return CharCoeffs(sampler)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +181,11 @@ def _integral_bounds(alpha, beta, nu, g):
     return ia, ib, inu
 
 
-def riemann_function(coeffs, w0, z0, m=129, tol=1e-10, max_iter=400):
+# Picard stops once an update moves phi by less than the tolerance
+_RIEMANN_TOL, _RIEMANN_MAX_ITER = 1e-10, 400
+
+
+def riemann_function(coeffs, w0, z0, m=129):
     """Solve the adjoint Goursat problem for the Riemann function of the
     evaluation point (w0, z0) by the rectangle solver's Picard iteration.
 
@@ -217,8 +211,8 @@ def riemann_function(coeffs, w0, z0, m=129, tol=1e-10, max_iter=400):
     phi_right = np.exp(_cumtrapz0(A[:, -1], g))           # phi(w0, t)
     int_b_bottom = _cumtrapz0(B[0, :], g)                 # int_{z0}^s beta(., z0)
     phi_bottom = np.exp(int_b_bottom - int_b_bottom[-1])  # phi(s, z0)
-    U, it = _picard_rectangle(B, A, NU, phi_right, phi_bottom, g, g, tol,
-                              max_iter)
+    U, it = _picard_rectangle(B, A, NU, phi_right, phi_bottom, g, g,
+                              _RIEMANN_TOL, _RIEMANN_MAX_ITER)
 
     if m <= 80:      # the bounds' grid is this one: reuse the samples
         ia_b, ib_b, inu_b = _integral_bounds(
@@ -239,12 +233,12 @@ def riemann_function(coeffs, w0, z0, m=129, tol=1e-10, max_iter=400):
                            certified=certified, split_count=splits)
 
 
-def solve_cauchy(coeffs, s_tilde, t_tilde, w0, z0, m=129, source=None):
+def solve_cauchy(coeffs, s_tilde, t_tilde, w0, z0, m=129):
     """Evaluate f(w0, z0) from diagonal Cauchy data via the Riemann function.
 
         f(w0,z0) = (phi s~)(z0)/2 + (phi s~)(w0)/2
                    + 1/2 int (phi t~ - (phi_w - phi_z) s~) dv
-                   + int phi (beta - alpha) s~ dv   [+ triangle source term]
+                   + int phi (beta - alpha) s~ dv
 
     The last diagonal term cancels when beta = alpha on the diagonal, which
     the left-right symmetry guarantees; it is evaluated anyway.
@@ -259,12 +253,6 @@ def solve_cauchy(coeffs, s_tilde, t_tilde, w0, z0, m=129, source=None):
     out = 0.5 * phid[0] * sv[0] + 0.5 * phid[-1] * sv[-1]
     out += 0.5 * np.trapezoid(phid * tv - gapd * sv, x=v)
     out += np.trapezoid(phid * ab * sv, x=v)
-    if source is not None:
-        W, Z = np.meshgrid(v, v, indexing="ij")
-        gsrc = np.asarray(source(W, Z), dtype=float)
-        tri = np.tril(np.ones_like(gsrc))        # z <= w half of the square
-        integrand = gsrc * rf.phi * tri
-        out += float(np.trapezoid(np.trapezoid(integrand, x=v, axis=1), x=v))
     return float(out)
 
 
@@ -272,8 +260,11 @@ def solve_cauchy(coeffs, s_tilde, t_tilde, w0, z0, m=129, source=None):
 # Goursat sup estimate on rectangles
 
 
-def goursat_solve_rectangle(A, B, C, top_data, left_data, w_grid, z_grid,
-                            tol=1e-12, max_iter=600):
+# Picard stops once an update moves U by less than the tolerance
+_RECT_TOL, _RECT_MAX_ITER = 1e-12, 600
+
+
+def goursat_solve_rectangle(A, B, C, top_data, left_data, w_grid, z_grid):
     """Solve U_wz - (A U)_w - (B U)_z + C U = 0 on [x1,x2] x [y1,y2] with
     data U(., y2) = top_data and U(x1, .) = left_data, via Picard iteration
     of the equivalent integral equation.  Grids are ascending; the z data
@@ -289,7 +280,7 @@ def goursat_solve_rectangle(A, B, C, top_data, left_data, w_grid, z_grid,
     return _picard_rectangle(np.asarray(A(W, Z), dtype=float),
                              np.asarray(B(W, Z), dtype=float),
                              np.asarray(C(W, Z), dtype=float),
-                             f, gdat, w, z, tol, max_iter)
+                             f, gdat, w, z, _RECT_TOL, _RECT_MAX_ITER)
 
 
 def _picard_rectangle(Av, Bv, Cv, f, gdat, w, z, tol, max_iter):

@@ -11,7 +11,7 @@ conditional variance on the empty level is one.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -367,12 +367,10 @@ class ConditionReport:
     kappa: np.ndarray = None
     chi: np.ndarray = None
 
-    def all_passed(self, include_irreducibility=True):
-        names = ["conservation", "lr_symmetry", "asym_stationarity",
-                 "sym_reversibility", "gradient_flux"]
-        if include_irreducibility:
-            names.insert(1, "irreducibility")
-        return all(getattr(self, n).passed for n in names)
+    def all_passed(self):
+        return all(getattr(self, n).passed for n in (
+            "conservation", "irreducibility", "lr_symmetry",
+            "asym_stationarity", "sym_reversibility", "gradient_flux"))
 
     def summary(self):
         lines = [f"condition report: {self.model} (block_len={self.block_len})"]
@@ -403,7 +401,7 @@ def microscopic_fluxes(model):
     return psi, phi, psi_s, phi_s
 
 
-def _check_conservation(model, tol=EXACT_TOL):
+def _check_conservation(model):
     k = model.nstates
     worst = 0.0
     z2 = model.zeta_half_units
@@ -412,18 +410,18 @@ def _check_conservation(model, tol=EXACT_TOL):
             de = abs(model.eta[a] + model.eta[b] - model.eta[ap] - model.eta[bp])
             dz = abs(z2[a] + z2[b] - z2[ap] - z2[bp])
             worst = max(worst, float(de + dz))
-    return ConditionResult(worst <= tol, worst, tol)
+    return ConditionResult(worst <= EXACT_TOL, worst, EXACT_TOL)
 
 
-def _check_lr_symmetry(model, tol=EXACT_TOL):
+def _check_lr_symmetry(model):
     R = model.involution
     r_ref = model.r[R][:, R][:, :, R][:, :, :, R].transpose(1, 0, 3, 2)
     s_ref = model.s[R][:, R][:, :, R][:, :, :, R].transpose(1, 0, 3, 2)
     worst = max(np.max(np.abs(r_ref - model.r)), np.max(np.abs(s_ref - model.s)))
-    return ConditionResult(worst <= tol, float(worst), tol)
+    return ConditionResult(worst <= EXACT_TOL, float(worst), EXACT_TOL)
 
 
-def _check_asym_stationarity(model, tol=EXACT_TOL):
+def _check_asym_stationarity(model):
     # Q(w1,w2) = sum_{w1',w2'} [pi(w1')pi(w2')/(pi(w1)pi(w2)) r(w1',w2';w1,w2)
     #                           - r(w1,w2;w1',w2')]
     pi = model.pi
@@ -432,17 +430,17 @@ def _check_asym_stationarity(model, tol=EXACT_TOL):
     Q = ratio_in - out
     # cyclic sum Q(i,j) + Q(j,k) + Q(k,i) over all triples
     worst = float(np.max(np.abs(Q[:, :, None] + Q[None, :, :] + Q.T[:, None, :])))
-    return ConditionResult(worst <= tol, worst, tol)
+    return ConditionResult(worst <= EXACT_TOL, worst, EXACT_TOL)
 
 
-def _check_sym_reversibility(model, tol=EXACT_TOL):
+def _check_sym_reversibility(model):
     pi = model.pi
     lhs = np.einsum("a,b,abcd->abcd", pi, pi, model.s)
     worst = float(np.max(np.abs(lhs - lhs.transpose(2, 3, 0, 1))))
-    return ConditionResult(worst <= tol, worst, tol)
+    return ConditionResult(worst <= EXACT_TOL, worst, EXACT_TOL)
 
 
-def _fit_site_potential(model, pair_flux, gauge_zero_on_empty, tol):
+def _fit_site_potential(model, pair_flux, gauge_zero_on_empty):
     """Least-squares solve pair_flux(w1,w2) = f(w1) - f(w2) for a site function."""
     k = model.nstates
     rows, rhs = [], []
@@ -470,12 +468,12 @@ def _fit_site_potential(model, pair_flux, gauge_zero_on_empty, tol):
     return f, resid
 
 
-def _check_gradient_flux(model, tol=EXACT_TOL):
+def _check_gradient_flux(model):
     _, _, psi_s, phi_s = microscopic_fluxes(model)
-    kappa, res_k = _fit_site_potential(model, psi_s, True, tol)
-    chi, res_c = _fit_site_potential(model, phi_s, False, tol)
+    kappa, res_k = _fit_site_potential(model, psi_s, True)
+    chi, res_c = _fit_site_potential(model, phi_s, False)
     worst = max(res_k, res_c)
-    return ConditionResult(worst <= tol, worst, tol), kappa, chi
+    return ConditionResult(worst <= EXACT_TOL, worst, EXACT_TOL), kappa, chi
 
 
 def _check_irreducibility(model, n):

@@ -11,7 +11,7 @@ the globally convex entropy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +40,9 @@ class DomainExit(RuntimeError):
 # flux views
 
 
+_CLIP_TOL = 1e-12    # ``clip`` raises DomainExit for states further outside
+
+
 class LimitFlux:
     """Universal limit fluxes Psi = rho*u, Phi = rho + gamma*u^2 on rho >= 0."""
 
@@ -64,9 +67,9 @@ class LimitFlux:
     def contains(self, rho, u, margin=0.0):
         return np.asarray(rho) >= margin
 
-    def clip(self, rho, u, tol=1e-12):
+    def clip(self, rho, u):
         rho = np.asarray(rho, dtype=float)
-        if np.any(rho < -tol):
+        if np.any(rho < -_CLIP_TOL):
             raise DomainExit(f"rho dropped to {rho.min():.3e}")
         return np.maximum(rho, 0.0), np.asarray(u, dtype=float)
 
@@ -93,11 +96,11 @@ class ModelFluxView:
     def contains(self, rho, u, margin=0.0):
         return self.fp.domain.contains(rho, u, margin=margin)
 
-    def clip(self, rho, u, tol=1e-12):
+    def clip(self, rho, u):
         rho = np.asarray(rho, dtype=float)
         u = np.asarray(u, dtype=float)
         margin = self.fp.domain.interior_margin(rho, u)
-        if np.any(margin < -tol):
+        if np.any(margin < -_CLIP_TOL):
             raise DomainExit(f"state left the domain by {-margin.min():.3e}")
         # pull offending points back onto the boundary by a convex nudge
         bad = margin < 0
@@ -136,9 +139,9 @@ class ScaledFluxView:
         return self.base.contains(self.a_r * np.asarray(rho),
                                   self.a_u * np.asarray(u), margin=margin)
 
-    def clip(self, rho, u, tol=1e-12):
+    def clip(self, rho, u):
         r2, u2 = self.base.clip(self.a_r * np.asarray(rho),
-                                self.a_u * np.asarray(u), tol=tol)
+                                self.a_u * np.asarray(u))
         return r2 / self.a_r, u2 / self.a_u
 
     def bundle(self, rho, u):
@@ -162,9 +165,9 @@ class EigenData:
     m: np.ndarray
 
 
-def wave_speeds(flux, rho, u, strict=True):
+def wave_speeds(flux, rho, u):
     """Both characteristic speeds (lam >= mu), vectorized."""
-    return _speeds(*flux.bundle(rho, u)[2:], strict=strict)
+    return _speeds(*flux.bundle(rho, u)[2:])
 
 
 def _speeds(pr, pu, fr, fu, strict=True):
@@ -259,28 +262,46 @@ def riemann_invariant_gradients(gamma, rho, u):
     return w_rho, w_u, z_rho, z_u
 
 
-def level_line(gamma, w_value, u_grid, which="w", rho_hi=None):
-    """Extract a Riemann-invariant level line u -> rho(u) by bisection."""
-    from scipy.optimize import brentq
+def z_level_set(gamma, c, u):
+    """rho(u) on the level set z(rho, u) = c > 0 of the Riemann invariant z,
+    at every u of an array.
 
-    idx = 0 if which == "w" else 1
-    if rho_hi is None:
-        rho_hi = max(4.0 * w_value ** 2, 1.0)
-    out = np.full(len(u_grid), np.nan)
-    for i, uu in enumerate(u_grid):
-        f = lambda r: riemann_invariants(gamma, r, uu)[idx] - w_value
-        lo, hi = 0.0, rho_hi
-        flo, fhi = f(lo), f(hi)
-        while fhi < 0 and hi < 1e6:
-            hi *= 2.0
-            fhi = f(hi)
-        if flo > 0 or fhi < 0:
-            continue  # level line does not cross this u
-        out[i] = brentq(f, lo, hi, xtol=1e-13)
-    return out
+    z is homogeneous of degree 1, z(lam^2 rho, lam u) = lam z(rho, u), so
+    the level set is rho = c^2 q(u / c), where q solves z(q, s) = 1.
+    Newton's method finds q from the gamma = 1 curve q = 1 + s, and each
+    point stops on its own step, so its value does not depend on the other
+    points in the call.  The level set is exactly 0 for u <= -c, where it
+    has merged into rho = 0.  Needs gamma > 3/4.
+    """
+    if gamma <= 0.75:
+        raise ValueError(f"level sets need gamma > 3/4, got {gamma}")
+    u = np.asarray(u, dtype=float)
+    s = u.reshape(-1) / c
+    q = np.where(s > -1.0, 1.0 + s, 0.0)
+    todo = np.flatnonzero(q)
+    for _ in range(60):
+        if todo.size == 0:
+            break
+        qt, st = q[todo], s[todo]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = riemann_invariants(gamma, qt, st)[1]
+            z_q = riemann_invariant_gradients(gamma, qt, st)[2]
+        step = (z - 1.0) / z_q
+        q[todo] = qt = np.maximum(qt - step, 0.5 * qt)
+        todo = todo[np.abs(step) > 1e-13 * np.maximum(qt, 1.0)]
+    return (c * c * q).reshape(u.shape)
 
 
-def genuine_nonlinearity(gamma, rho, u, h=1e-6):
+def level_line(gamma, w_value, u_grid):
+    """The level line u -> rho(u) of w(rho, u) = w_value > 0; NaN where it
+    does not cross u (u > w_value).  Left-right symmetry gives
+    w(rho, u) = z(rho, -u), so it is a level set of z.  Needs gamma > 3/4.
+    """
+    u = np.asarray(u_grid, dtype=float)
+    return np.where(u > w_value, np.nan, z_level_set(gamma, w_value, -u))
+
+
+def genuine_nonlinearity(gamma, rho, u):
     """(grad lam . r, grad mu . s) for the limit system.
 
     Direct computation from the closed-form eigenstructure places the zero
@@ -292,6 +313,7 @@ def genuine_nonlinearity(gamma, rho, u, h=1e-6):
     for gamma >= 0 both fields are nonzero away from the origin.
     """
     flux = LimitFlux(gamma)
+    h = 1e-6            # the finite-difference step of the speed gradients
 
     def lam_mu(rr, uu):
         return wave_speeds(flux, rr, uu)
@@ -408,11 +430,12 @@ def _dx4(q, dx):
             - (np.roll(q, -2) - np.roll(q, 2))) / (12.0 * dx)
 
 
-def _spectral_filter(q, strength=36.0, order=16):
-    """Weak exponential filter acting only on the highest Fourier modes."""
+def _spectral_filter(q):
+    """Weak exponential filter exp(-36 k^16) acting only on the highest
+    Fourier modes."""
     qh = np.fft.rfft(q)
     k = np.arange(qh.size) / max(qh.size - 1, 1)
-    qh *= np.exp(-strength * k ** order)
+    qh *= np.exp(-36.0 * k ** 16)
     return np.fft.irfft(qh, n=q.size)
 
 

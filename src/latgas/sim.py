@@ -424,7 +424,7 @@ def product_measure_vector(model, n, tau, theta):
 # block averages and empirical fields
 
 
-def block_average(values, l, x, n=None, weight=weight_function):
+def block_average(values, l, x, n=None):
     """Weighted mesoscopic average (1/l) sum_j a((nx-j)/l) xi_j at point x."""
     values = np.asarray(values, dtype=float)
     if n is None:
@@ -433,7 +433,7 @@ def block_average(values, l, x, n=None, weight=weight_function):
     center = x * n
     offs = np.arange(-int(np.ceil(l)) + 1, int(np.ceil(l)))
     j = (np.round(center)[:, None].astype(np.int64) + offs[None, :])
-    wts = weight((center[:, None] - j) / l) / l
+    wts = weight_function((center[:, None] - j) / l) / l
     vals = values[np.mod(j, n)]
     out = (wts * vals).sum(axis=1)
     return out if out.size > 1 else float(out[0])
@@ -466,16 +466,17 @@ _HEAD = struct.Struct("<4sIQIQd")      # magic, version, n, k, seed, time
 _STATE = struct.Struct("<qq16s2Q4Q4QqII")
 
 
-def write_snapshot_csv(path, fields_by_time, append=False):
+def snapshot_rows(fields_by_time):
+    """The (t, x, rho, u) rows of a list of (t, rho Field, u Field)."""
+    blocks = [np.column_stack([np.full(fr.m, t), fr.x(), fr.values, fu.values])
+              for t, fr, fu in fields_by_time]
+    return np.concatenate(blocks) if blocks else np.empty((0, 4))
+
+
+def write_snapshot_csv(path, fields_by_time):
     """CSV rows `t,x,rho_hat,u_hat` for a list of (t, rho Field, u Field)."""
-    mode = "a" if append else "w"
-    with open(path, mode, newline="") as fh:
-        if not append:
-            fh.write("t,x,rho_hat,u_hat\n")
-        for t, fr, fu in fields_by_time:
-            xs = fr.x()
-            for x, r, u in zip(xs, fr.values, fu.values):
-                fh.write(f"{t:.10g},{x:.10g},{r:.10g},{u:.10g}\n")
+    np.savetxt(path, snapshot_rows(fields_by_time), fmt="%.10g",
+               delimiter=",", header="t,x,rho_hat,u_hat", comments="")
 
 
 def dump_state(path, state, model):

@@ -447,7 +447,10 @@ def tilt_kernel():
     return "python" if _resolve_kernel() is _PYTHON else "c"
 
 
-def invert_parameters_grid(model, rho, u, tol=1e-12, max_iter=100):
+_NEWTON_TOL, _NEWTON_MAX_ITER = 1e-12, 100   # ``invert_parameters_grid``
+
+
+def invert_parameters_grid(model, rho, u):
     """Vectorized Newton solve of grad G(tau, theta) = (rho, u).
 
     Works on arrays of targets; the Hessian of G is the (eta, zeta)
@@ -455,13 +458,14 @@ def invert_parameters_grid(model, rho, u, tol=1e-12, max_iter=100):
     a ``Tilt``.
 
     A point stops once ``|m_rho - rho| < tol * min(1, rho)`` and
-    ``|m_u - u| < tol``, relative in rho so that low densities keep their
-    digits.  Below the reference density ``m0 = E_pi[eta]`` the solve
-    starts from the low-density asymptote ``tau = log(rho / m0)``
-    (``theta = 0``), else from (0, 0).  Each point takes the same
-    arithmetic whatever else shares the call.  The solve runs in a compiled
-    kernel when a C compiler works (``tilt_kernel()``), in numpy otherwise;
-    the two differ only in the last bits of exp and log.
+    ``|m_u - u| < tol`` (``_NEWTON_TOL``), relative in rho so that low
+    densities keep their digits.  Below the reference density
+    ``m0 = E_pi[eta]`` the solve starts from the low-density asymptote
+    ``tau = log(rho / m0)`` (``theta = 0``), else from (0, 0).  Each point
+    takes the same arithmetic whatever else shares the call.  The solve
+    runs in a compiled kernel when a C compiler works (``tilt_kernel()``),
+    in numpy otherwise; the two differ only in the last bits of exp and
+    log.
     """
     rho = np.asarray(rho, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -471,7 +475,7 @@ def invert_parameters_grid(model, rho, u, tol=1e-12, max_iter=100):
     site = model.site_table
     m0 = float(model.pi @ model.eta)
     res, p, iterations, worst, bad = _resolve_kernel()[0](
-        site, m0, rho_f, u_f, tol, max_iter)
+        site, m0, rho_f, u_f, _NEWTON_TOL, _NEWTON_MAX_ITER)
     if bad >= 0:
         raise NonConvergence(
             f"Newton failed at (rho,u)=({rho_f[bad]:.6g},{u_f[bad]:.6g})")
@@ -500,29 +504,29 @@ def pair_moments(site, p, tabs):
     return _resolve_kernel()[1](site, p, tabs)
 
 
-def invert_parameters(model, rho, u, domain=None, tol=1e-12, max_iter=100):
+def invert_parameters(model, rho, u):
     """Recover CanonicalParams for a single interior point (rho, u)."""
-    dom = domain if domain is not None else DomainPolygon.from_model(model)
+    dom = DomainPolygon.from_model(model)
     if not bool(dom.contains(rho, u, margin=1e-13)) or dom.interior_margin(rho, u) <= 0:
         raise OutOfDomain(f"({rho}, {u}) is not in the interior of the domain")
-    tau, theta, G = invert_parameters_grid(model, rho, u, tol=tol, max_iter=max_iter)
+    tau, theta, G = invert_parameters_grid(model, rho, u)
     return CanonicalParams(float(tau), float(theta), float(rho), float(u), float(G))
 
 
-def thermo_entropy(model, rho, u, domain=None):
+def thermo_entropy(model, rho, u):
     """Legendre transform S(rho,u) = rho*tau + u*theta - G(tau,theta)."""
-    cp = invert_parameters(model, rho, u, domain=domain)
+    cp = invert_parameters(model, rho, u)
     return rho * cp.tau + u * cp.theta - cp.G
 
 
-def entropy_gradient(model, rho, u, domain=None):
+def entropy_gradient(model, rho, u):
     """Gradient of the thermodynamic entropy, equal to (tau, theta)."""
-    cp = invert_parameters(model, rho, u, domain=domain)
+    cp = invert_parameters(model, rho, u)
     return np.array([cp.tau, cp.theta])
 
 
-def entropy_hessian(model, rho, u, domain=None):
+def entropy_hessian(model, rho, u):
     """Hessian of S, the inverse of the covariance matrix G''."""
-    cp = invert_parameters(model, rho, u, domain=domain)
+    cp = invert_parameters(model, rho, u)
     _, cov = moments(model, cp.tau, cp.theta)
     return np.linalg.inv(cov)

@@ -53,7 +53,7 @@ def test_beta0_asymptotics():
     for kap in (1.0, 3.0, 2.0, 4.0):
         cc = limit_flux_char_coeffs(g, kap)
         for w in (0.4, 0.9):
-            b = float(cc.beta(w, 1e-5))
+            b = float(cc.sample(w, 1e-5)[1])
             ref = (kap - 1) / (2 * g - 1) / w
             assert abs(b - ref) < 2e-3 * max(1.0, abs(ref))
 
@@ -125,18 +125,17 @@ def test_no_contraction_on_singular_coefficients():
         with np.errstate(divide="ignore", invalid="ignore"):
             return 1.0 / (np.asarray(w) - np.asarray(w))
 
-    bad = CharCoeffs(alpha=singular,
-                     beta=lambda w, z: np.zeros(np.broadcast(w, z).shape),
-                     nu=lambda w, z: np.zeros(np.broadcast(w, z).shape))
+    zero = lambda w, z: np.zeros(np.broadcast(w, z).shape)
+    bad = CharCoeffs(lambda w, z: (singular(w, z), zero(w, z), zero(w, z)))
     with pytest.raises(NoContraction):
         riemann_function(bad, 1.0, 0.2, m=33)
 
 
 def test_certificate_with_splitting():
     # large but integrable coefficients: certified via rectangle splitting
-    big = CharCoeffs(alpha=lambda w, z: 4.0 + 0 * np.asarray(w) * np.asarray(z),
-                     beta=lambda w, z: np.zeros(np.broadcast(w, z).shape),
-                     nu=lambda w, z: np.zeros(np.broadcast(w, z).shape))
+    zero = lambda w, z: np.zeros(np.broadcast(w, z).shape)
+    big = CharCoeffs(lambda w, z: (4.0 + 0 * np.asarray(w) * np.asarray(z),
+                                   zero(w, z), zero(w, z)))
     rf = riemann_function(big, 1.0, 0.2, m=65)
     assert rf.certified and rf.split_count > 1
     ia, ib, inu = coefficient_integral_bounds(big, 1.0, 0.2)
@@ -212,7 +211,7 @@ def test_riemann_function_closed_form_order(c):
     for m in (65, 129, 257):
         rf = riemann_function(cc, w0, z0, m=m)
         W, Z = np.meshgrid(rf.grid, rf.grid, indexing="ij")
-        assert np.max(np.abs(cc.alpha(W, Z) - c / (W + Z))) < 1e-13
+        assert np.max(np.abs(cc.sample(W, Z)[0] - c / (W + Z))) < 1e-13
         exact = ((W + Z) / (w0 + z0)) ** c * hyp2f1(
             c, 1.0 - c, 1.0, -(W - w0) * (Z - z0) / ((W + Z) * (w0 + z0)))
         errs.append(np.max(np.abs(rf.phi - exact)))
@@ -231,8 +230,7 @@ def test_riemann_function_nu_closed_form_order(k):
 
     w0, z0 = 1.0, 0.2
     zero = lambda w, z: np.zeros(np.broadcast(w, z).shape)
-    cc = CharCoeffs(alpha=zero, beta=zero,
-                    nu=lambda w, z: k + zero(w, z))
+    cc = CharCoeffs(lambda w, z: (zero(w, z), zero(w, z), k + zero(w, z)))
     errs = []
     for m in (33, 65, 129):
         rf = riemann_function(cc, w0, z0, m=m)

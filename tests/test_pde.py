@@ -110,6 +110,21 @@ def test_level_line_concavity_gamma_gt_1():
     assert np.max(np.abs(np.diff(rho_line, 2))) < 1e-9
 
 
+@pytest.mark.parametrize("g", [1.0, 1.25, 2.0])
+def test_level_line_lies_on_its_level_set(g):
+    """w(level_line(u), u) = w_value wherever the line crosses u (u <= w),
+    NaN beyond; gamma <= 3/4 is refused."""
+    us = np.linspace(-1.5, 1.5, 301)
+    for w_value in (0.3, 0.8, 2.0):
+        line = level_line(g, w_value, us)
+        crosses = us <= w_value
+        assert np.all(np.isnan(line[~crosses]))
+        w = riemann_invariants(g, line[crosses], us[crosses])[0]
+        assert np.max(np.abs(w - w_value)) < 1e-13 * w_value
+    with pytest.raises(ValueError):
+        level_line(0.7, 0.8, us)
+
+
 def test_genuine_nonlinearity():
     gn_l, gn_m = genuine_nonlinearity(1.0, 1.0, 0.0)
     assert abs(gn_l) > 0.1 and abs(gn_m) > 0.1
