@@ -19,14 +19,14 @@ def _versions():
     import scipy
 
     from . import __version__
-    from .entropy import march_kernel
-    from .sim import event_kernel
-    from .thermo import tilt_kernel
+    from .entropy import MARCH
+    from .sim import EVENTS
+    from .thermo import TILT
 
     return {"latgas": __version__, "numpy": np.__version__,
             "scipy": scipy.__version__, "python": sys.version.split()[0],
-            "event_kernel": event_kernel(), "march_kernel": march_kernel(),
-            "tilt_kernel": tilt_kernel()}
+            "event_kernel": EVENTS.backend, "march_kernel": MARCH.backend,
+            "tilt_kernel": TILT.backend}
 
 
 def _write_manifest(out_dir, command, params, outputs, error=None):

@@ -28,7 +28,7 @@ from scipy.interpolate import PchipInterpolator
 
 from . import native
 from .pde import LimitFlux, riemann_invariants, z_level_set
-from .thermo import tilt_kernel
+from .thermo import TILT
 
 
 class SingularStart(ValueError):
@@ -590,15 +590,10 @@ void rk4_step(double *state, double *work, int64_t nf, int64_t n,
 }
 """
 
-_kernel = None       # resolved on first use by _resolve_kernel
 
-
-def _load_c_stepper():
-    """A stepper factory around the compiled RK4 step; None when there is no
-    compiler or the build fails."""
-    lib = native.load("march", _STEP_SOURCE)
-    if lib is None:
-        return None
+def _ctypes_stepper(lib):
+    """A stepper factory around the compiled RK4 step, with
+    ``_numpy_stepper``'s signature."""
     fn = lib.rk4_step
     i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     fn.argtypes = ([ptr, ptr, i64, i64, ptr, ptr, ptr, ptr, i64, i64, ptr, dbl]
@@ -645,6 +640,9 @@ def _load_c_stepper():
     return c_stepper
 
 
+MARCH = native.Kernel("march", _STEP_SOURCE, _ctypes_stepper, _numpy_stepper)
+
+
 # March step: _CFL h over the largest characteristic speed of the strip.
 # For a Fourier mode at angle t = k h, the march's principal part
 # f_uu = (Psi_u f_rr + gap f_ru) / Phi_rho has the eigenvalues
@@ -659,18 +657,6 @@ def _load_c_stepper():
 # is 0.85 of the limit, about 1.04.
 _CFL = 0.85 * np.sqrt(6.0) / 2.0
 _PIN_CELLS = 4       # right-edge cells re-imposed from pin_right
-
-
-def _resolve_kernel():
-    global _kernel
-    if _kernel is None:
-        _kernel = _load_c_stepper() or _numpy_stepper
-    return _kernel
-
-
-def march_kernel():
-    """Which RK4 step ``_march_system`` runs: ``"c"`` or ``"python"``."""
-    return "python" if _resolve_kernel() is _numpy_stepper else "c"
 
 
 def _march_system(coeffs, fields0, u_levels, hyper, pin_right=None,
@@ -725,8 +711,8 @@ def _march_system(coeffs, fields0, u_levels, hyper, pin_right=None,
     # the 6th-difference kernel is negative semidefinite, so adding it
     # damps grid-scale modes at rate ~ hyper/h
     damp = hyper / h * 0.015625  # / 64
-    step = _resolve_kernel()(state, nf, h, damp, _partners(names), pin_rows,
-                             pin_vals)
+    step = MARCH.impl(state, nf, h, damp, _partners(names), pin_rows,
+                      pin_vals)
 
     # conservative speed estimate over the strip
     (pu, gap, fr), _ = coeffs.rows(u_levels[-1])
@@ -747,7 +733,7 @@ def _march_system(coeffs, fields0, u_levels, hyper, pin_right=None,
     if stats is not None:
         stats.update(march_steps=steps, coefficient_s=coeff_s,
                      march_s=time.perf_counter() - t_start,
-                     march_kernel=march_kernel())
+                     march_kernel=MARCH.backend)
     return ({k: levels[:, i] for i, k in enumerate(names)},
             {k: levels[:, nf + i] for i, k in enumerate(names)})
 
@@ -1057,7 +1043,7 @@ def build_entropy(flux, r_lo, r_hi, n=None, beta=0.5, u_max=None, n_rho=None,
         diag.update(tilt_solves=newton.calls,
                     newton_iterations=newton.iterations,
                     newton_residual=newton.residual,
-                    tilt_kernel=tilt_kernel())
+                    tilt_kernel=TILT.backend)
 
     tol_overlap = 5e-3 * max(1.0, np.max(np.abs(S)))
     if max(diag["overlap_D1"], diag["overlap_D2"]) > tol_overlap:

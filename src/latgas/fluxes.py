@@ -8,7 +8,6 @@ differences with one Richardson step; the flux curvature gamma at the corner
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 
@@ -162,14 +161,14 @@ class FluxPair:
                                       for u in u_grid])
 
     def export_points_csv(self, path, points):
-        """Write the same table for the listed (rho, u) points only."""
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["rho", "u", "Psi", "Phi", "Psi_rho", "Psi_u",
-                         "Phi_rho", "Phi_u"])
-            for r, u in points:
-                wr.writerow([f"{float(v):.12g}"
-                             for v in (r, u, *self.bundle(r, u))])
+        """Write the same table for the listed (rho, u) points only, from
+        one ``bundle`` over all of them."""
+        rho, u = np.reshape(np.asarray(points, dtype=float), (-1, 2)).T
+        # \r\n line ends, as the csv module writes them
+        np.savetxt(path, np.column_stack((rho, u, *self.bundle(rho, u))),
+                   fmt="%.12g", delimiter=",", newline="\r\n",
+                   header="rho,u,Psi,Phi,Psi_rho,Psi_u,Phi_rho,Phi_u",
+                   comments="")
 
 
 _CORNER_EPS = 0.2 / 2.0 ** np.arange(3)   # eps of the Richardson levels

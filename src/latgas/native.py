@@ -1,15 +1,19 @@
 """Build and load the package's small C kernels.
 
-Each kernel is one C source string compiled with the system C compiler into
-a shared library on first use.  The library is cached per user
+Each kernel is one ``Kernel`` record: a library name, one C source string,
+a ``bind`` that wraps the library's functions in callables with the Python
+twin's signature, and the twin itself.  The first use of ``.impl`` compiles
+the source with the system C compiler (``gcc``, else ``cc``) into a shared
+library, or loads it if it is cached.  The cache is per user
 (``$XDG_CACHE_HOME/latgas``, else ``~/.cache/latgas``, else a private
-temporary directory) under a name tagged with a hash of the source and the
+temporary directory), under a name tagged with a hash of the source and the
 flags, so an edited kernel is rebuilt and never mixed up with an old one.
 Every kernel is built with the same flags; ``-ffp-contract=off`` keeps the
 compiler from fusing multiplies and adds, so a kernel rounds as the numpy
-reference written with the same operations does.
-Callers keep an interpreted reference and fall back to it when ``load``
-returns None.
+reference written with the same operations does.  Without a compiler, or
+when the build fails, ``.impl`` is the Python twin, which stays the
+reference the tests compare the kernel against; ``.backend`` reports
+``"c"`` or ``"python"``.
 """
 
 from __future__ import annotations
@@ -20,6 +24,9 @@ import os
 import shutil
 import subprocess
 import tempfile
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, Callable
 
 
 def _find_compiler():
@@ -71,3 +78,27 @@ def load(name, source):
         return ctypes.CDLL(lib_path)
     except (OSError, subprocess.SubprocessError):
         return None
+
+
+@dataclass(eq=False)
+class Kernel:
+    """A C kernel and its Python twin.  ``bind(lib)`` declares the ctypes
+    signatures of the loaded library and returns what ``python`` is: a
+    callable, or a tuple of them, taking the same arguments."""
+
+    name: str
+    source: str
+    bind: Callable[[ctypes.CDLL], Any]
+    python: Any
+
+    @cached_property
+    def impl(self):
+        """The compiled callables, or the Python twin when ``load`` gives
+        None; resolved once, on first use."""
+        lib = load(self.name, self.source)
+        return self.python if lib is None else self.bind(lib)
+
+    @property
+    def backend(self):
+        """Which one ``impl`` is: ``"c"`` or ``"python"``."""
+        return "python" if self.impl is self.python else "c"

@@ -8,10 +8,9 @@ law and costs O(1) per candidate.  Randomness comes from counter-based
 Philox streams so replicas are independent and trajectories replayable;
 snapshots store the stream state, so a restart continues the same trajectory.
 
-Candidate events are applied by a small C kernel, compiled with the system C
-compiler on first use and cached per user (see ``latgas.native``).  Without
-a working compiler the interpreted reference loop runs instead; both give
-identical trajectories, and ``event_kernel()`` reports which one is in use.
+Candidate events are applied by a small C kernel, the record ``EVENTS`` (see
+``latgas.native``).  Its twin, the interpreted reference loop, gives
+identical trajectories, and ``EVENTS.backend`` reports which one is in use.
 """
 
 from __future__ import annotations
@@ -211,8 +210,6 @@ int64_t apply_events(uint8_t *spins, int64_t n, const int64_t *bonds,
 }
 """
 
-_kernel = None       # resolved on first use by _resolve_kernel
-
 
 def _apply_events_py(spins, bonds, us, cum, out_a, out_b, nchan, k):
     """Interpreted reference loop, and the fallback without a C compiler."""
@@ -234,29 +231,23 @@ def _apply_events_py(spins, bonds, us, cum, out_a, out_b, nchan, k):
     return accepted
 
 
-def _load_c_kernel():
-    """The compiled kernel's ctypes function, building it if it is not
-    cached yet; None when there is no compiler or the build fails."""
-    lib = native.load("events", _KERNEL_SOURCE)
-    if lib is None:
-        return None
+def _ctypes_events(lib):
+    """The compiled loop with ``_apply_events_py``'s signature."""
     fn = lib.apply_events
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     fn.argtypes = [ptr, i64, ptr, ptr, i64, ptr, ptr, ptr, i64, i64]
     fn.restype = i64
-    return fn
+
+    def apply_events(spins, bonds, us, cum, out_a, out_b, nchan, k):
+        return fn(spins.ctypes.data, spins.size, bonds.ctypes.data,
+                  us.ctypes.data, bonds.size, cum.ctypes.data,
+                  out_a.ctypes.data, out_b.ctypes.data, nchan, k)
+
+    return apply_events
 
 
-def _resolve_kernel():
-    global _kernel
-    if _kernel is None:
-        _kernel = _load_c_kernel() or _apply_events_py
-    return _kernel
-
-
-def event_kernel():
-    """Which event kernel ``simulate`` runs: ``"c"`` or ``"python"``."""
-    return "python" if _resolve_kernel() is _apply_events_py else "c"
+EVENTS = native.Kernel("events", _KERNEL_SOURCE, _ctypes_events,
+                       _apply_events_py)
 
 
 def _require(a, dtype, shape, name):
@@ -297,20 +288,11 @@ def _bind_events(spins, cum, out_a, out_b, nchan, k):
     0..n-1 and as many float64 uniforms, as ``simulate`` makes them."""
     nchan, k = int(nchan), int(k)
     _check_lattice(spins, cum, out_a, out_b, nchan, k)
-    kernel = _resolve_kernel()
-    if kernel is _apply_events_py:
-        def apply(bonds, us):
-            return kernel(spins, bonds, us, cum, out_a, out_b, nchan, k)
-        return apply
-    n = spins.size
-    p_spins, p_cum = spins.ctypes.data, cum.ctypes.data
-    p_a, p_b = out_a.ctypes.data, out_b.ctypes.data
+    kernel = EVENTS.impl
 
     def apply(bonds, us):
-        return kernel(p_spins, n, bonds.ctypes.data, us.ctypes.data,
-                      bonds.size, p_cum, p_a, p_b, nchan, k)
+        return kernel(spins, bonds, us, cum, out_a, out_b, nchan, k)
 
-    apply.buffers = (spins, cum, out_a, out_b)   # alive while bound
     return apply
 
 

@@ -396,17 +396,10 @@ void pair_moments(int64_t k, const double *site, int64_t n, const double *p,
 }
 """
 
-_kernel = None       # resolved on first use by _resolve_kernel
-_PYTHON = (_invert_py, _pair_moments_py)
 
-
-def _load_c_kernel():
+def _ctypes_tilt(lib):
     """``(invert, pair_moments)`` around the compiled kernels, with the
-    signatures of the numpy ones; None when there is no compiler or the
-    build fails."""
-    lib = native.load("tilt", _TILT_SOURCE)
-    if lib is None:
-        return None
+    signatures of the numpy ones."""
     i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     inv, pm = lib.invert_tilt, lib.pair_moments
     inv.argtypes = [i64, ptr, dbl, i64, ptr, ptr, dbl, i64, ptr, ptr, ptr]
@@ -435,16 +428,8 @@ def _load_c_kernel():
     return invert, pair_moments
 
 
-def _resolve_kernel():
-    global _kernel
-    if _kernel is None:
-        _kernel = _load_c_kernel() or _PYTHON
-    return _kernel
-
-
-def tilt_kernel():
-    """Which tilt kernels run: ``"c"`` or ``"python"``."""
-    return "python" if _resolve_kernel() is _PYTHON else "c"
+TILT = native.Kernel("tilt", _TILT_SOURCE, _ctypes_tilt,
+                     (_invert_py, _pair_moments_py))
 
 
 _NEWTON_TOL, _NEWTON_MAX_ITER = 1e-12, 100   # ``invert_parameters_grid``
@@ -463,7 +448,7 @@ def invert_parameters_grid(model, rho, u):
     ``m0 = E_pi[eta]`` the solve starts from the low-density asymptote
     ``tau = log(rho / m0)`` (``theta = 0``), else from (0, 0).  Each point
     takes the same arithmetic whatever else shares the call.  The solve
-    runs in a compiled kernel when a C compiler works (``tilt_kernel()``),
+    runs in a compiled kernel when a C compiler works (``TILT.backend``),
     in numpy otherwise; the two differ only in the last bits of exp and
     log.
     """
@@ -474,7 +459,7 @@ def invert_parameters_grid(model, rho, u):
     u_f = np.ascontiguousarray(np.broadcast_to(u, shape).reshape(-1))
     site = model.site_table
     m0 = float(model.pi @ model.eta)
-    res, p, iterations, worst, bad = _resolve_kernel()[0](
+    res, p, iterations, worst, bad = TILT.impl[0](
         site, m0, rho_f, u_f, _NEWTON_TOL, _NEWTON_MAX_ITER)
     if bad >= 0:
         raise NonConvergence(
@@ -501,7 +486,7 @@ def pair_moments(site, p, tabs):
         raise ValueError(f"need a (6, k) site table, (n, k) measures and "
                          f"(ntab, k, k) tables; got {site.shape}, "
                          f"{np.shape(p)} and {np.shape(tabs)}")
-    return _resolve_kernel()[1](site, p, tabs)
+    return TILT.impl[1](site, p, tabs)
 
 
 def invert_parameters(model, rho, u):

@@ -11,7 +11,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from latgas import build_model, macroscopic_flux, validate_conditions
 from latgas.entropy import (build_entropy, characteristic_curve, limit_curve,

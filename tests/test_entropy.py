@@ -1,12 +1,11 @@
+import dataclasses
 import hashlib
-import shutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import latgas.entropy as ent
-from latgas import native
 from latgas.entropy import (CharGeometry, D1, D2, D3, InconsistentOverlap,
                             LimitRows, ModelRows, SingularStart,
                             _march_system, build_entropy, char_slope,
@@ -15,7 +14,7 @@ from latgas.entropy import (CharGeometry, D1, D2, D3, InconsistentOverlap,
                             verify_bounds)
 from latgas.pde import (LimitFlux, ModelFluxView, ScaledFluxView,
                         riemann_invariants)
-from latgas.thermo import tilt_kernel
+from latgas.thermo import TILT
 
 
 @given(st.floats(0.05, 2.0), st.floats(1.5, 40.0))
@@ -156,8 +155,8 @@ def test_march_reproduces_polynomial_entropy(monkeypatch):
     cut = int((3.0 - 1.9 * 0.6 - 0.1) / 3.0 * 300)
     seen = []
     # the compiled step (when a compiler works) and the numpy reference
-    for kernel in (ent._resolve_kernel(), ent._numpy_stepper):
-        monkeypatch.setattr(ent, "_kernel", kernel)
+    for kernel in (ent.MARCH.impl, ent._numpy_stepper):
+        monkeypatch.setattr(ent.MARCH, "impl", kernel)
         out, _ = _march_system(LimitRows(fl, rho, ("S",)),
                                {"S": (rho ** 2, np.zeros_like(rho))},
                                u_levels, hyper=0.5)
@@ -183,7 +182,7 @@ def test_march_rejects_rows_for_other_fields():
 
 @pytest.fixture
 def c_march():
-    if ent.march_kernel() != "c":
+    if ent.MARCH.backend != "c":
         pytest.skip("no C compiler to build the march kernel")
 
 
@@ -215,8 +214,8 @@ def test_march_backends_agree(c_march, monkeypatch, two_lane_flux):
             for _ in range(3)]
     state0 = rng.normal(size=(2 * nf, n))
     runs = []
-    for kernel in (ent._resolve_kernel(), ent._numpy_stepper):
-        monkeypatch.setattr(ent, "_kernel", kernel)
+    for kernel in (ent.MARCH.impl, ent._numpy_stepper):
+        monkeypatch.setattr(ent.MARCH, "impl", kernel)
         state = state0.copy()
         # the pinned row is 4; every other row keeps both edges free
         kernel(state, nf, 0.1, 0.3, np.array([0, 2, 1]), np.array([4]),
@@ -238,7 +237,7 @@ def test_march_backends_agree(c_march, monkeypatch, two_lane_flux):
 
 
 def test_compiled_step_rejects_bad_arguments(c_march):
-    make = ent._resolve_kernel()
+    make = ent.MARCH.impl
     state = np.zeros((4, 10))
     pins = np.array([1, 3]), np.zeros((2, 4))
     make(state, 2, 0.1, 0.5, np.array([0, 1]), *pins)
@@ -257,18 +256,12 @@ def test_compiled_step_rejects_bad_arguments(c_march):
                  args["pin_rows"], args["pin_vals"])
 
 
-@pytest.mark.parametrize("compiler", [None, "false"])
-def test_march_numpy_without_compiler(monkeypatch, tmp_path, two_lane_flux,
-                                      compiler):
-    """No compiler, or one that fails, leaves the numpy step in use."""
-    path = compiler and shutil.which(compiler)
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    monkeypatch.setattr(native, "_find_compiler", lambda: path)
-    monkeypatch.setattr(ent, "_kernel", None)
+def test_march_numpy_without_compiler(monkeypatch, without_compiler,
+                                      two_lane_flux):
+    """Without a compiler the numpy step marches, and says so."""
+    monkeypatch.setattr(ent, "MARCH", dataclasses.replace(ent.MARCH))
     _, _, stats = _model_march(two_lane_flux)
     assert stats["march_steps"] > 0 and stats["march_kernel"] == "python"
-    assert ent.march_kernel() == "python"
-    assert not list(tmp_path.rglob("*.so"))
 
 
 def test_tabulated_slope_matches_grid_interpolator(two_lane_flux):
@@ -322,7 +315,7 @@ def test_scaled_two_lane_table_pinned():
     assert diag["tilt_solves"] > 0
     assert diag["newton_iterations"] <= 10
     assert 0.0 < diag["newton_residual"] < 1e-12
-    assert diag["tilt_kernel"] == tilt_kernel()
+    assert diag["tilt_kernel"] == TILT.backend
 
 
 def test_march_fails_above_stability_limit(monkeypatch):
@@ -466,7 +459,7 @@ def test_table_overlap_consistency(small_table):
     assert d["overlap_D2"] < 1e-5
     assert d["overlap_D2_Srho"] < 1e-4
     assert d["march_steps"] > 0 and d["march_s"] > 0
-    assert d["march_kernel"] == ent.march_kernel()
+    assert d["march_kernel"] == ent.MARCH.backend
     assert 0 < d["coefficient_s"] < d["march_s"]
 
 

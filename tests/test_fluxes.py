@@ -2,7 +2,6 @@ import csv
 import warnings
 
 import numpy as np
-import pytest
 
 from latgas.fluxes import NormalizationWarning, macroscopic_flux, onsager_residual
 from latgas.models import build_model
@@ -47,7 +46,7 @@ def test_gamma_extraction(pm1_flux, two_lane_flux):
 
 
 def test_gamma_fd_step_stability(pm1):
-    from latgas.fluxes import FluxPair, _corner_limit, _richardson
+    from latgas.fluxes import _corner_limit, _richardson
     fp = macroscopic_flux(pm1)
 
     def gamma_with_step(h):
@@ -129,7 +128,8 @@ def test_onsager_corrupted_rates(pm1):
 def test_csv_export(tmp_path, pm1_flux):
     path = tmp_path / "flux.csv"
     pm1_flux.export_csv(path, [0.3, 0.5], [-0.2, 0.0, 0.2])
-    rows = list(csv.reader(open(path)))
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["rho", "u", "Psi", "Phi", "Psi_rho", "Psi_u",
                        "Phi_rho", "Phi_u"]
     assert len(rows) == 1 + 6
@@ -175,8 +175,27 @@ def test_one_tilt_solve_per_point(tmp_path, pm1, pm1_flux, monkeypatch):
     monkeypatch.setattr(latgas.fluxes, "invert_parameters_grid", counting)
     onsager_residual(pm1, 0.4, 0.1, pm1_flux)
     assert len(calls) == 1
+    # the export solves all its points at once
     pm1_flux.export_csv(tmp_path / "flux.csv", [0.3, 0.5], [-0.2, 0.0, 0.2])
-    assert len(calls) == 1 + 6
+    assert len(calls) == 1 + 1
+
+
+def test_points_csv_matches_per_point_rows(tmp_path, two_lane_flux):
+    """One ``bundle`` over all points writes the bytes that one ``bundle``
+    and one ``csv`` row per point wrote."""
+    fp = two_lane_flux
+    points = list(zip(*_interior_grid(fp.domain)))
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["rho", "u", "Psi", "Phi", "Psi_rho", "Psi_u",
+                     "Phi_rho", "Phi_u"])
+        for r, u in points:
+            wr.writerow([f"{float(v):.12g}" for v in (r, u, *fp.bundle(r, u))])
+    calls = fp.newton.calls
+    fp.export_points_csv(tmp_path / "got.csv", points)
+    assert fp.newton.calls == calls + 1
+    assert (tmp_path / "got.csv").read_bytes() == \
+        (tmp_path / "want.csv").read_bytes()
 
 
 def test_bundle_does_not_depend_on_batch_size():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from latgas.fields import Field, l1_distance
+from latgas.fields import l1_distance
 from latgas.pde import (BlowupBeforeT, ComplexEigenvalues, DegenerateGamma,
                         LimitFlux, ModelFluxView, ScaledFluxView,
                         convex_entropy, convex_entropy_pde_residual,

@@ -1,11 +1,11 @@
-import shutil
+import dataclasses
 import struct
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from latgas import build_model, native, sim
+from latgas import build_model, sim
 from latgas.sim import (LatticeState, ScalingPlan, TooLarge, block_average,
                         draw_states, dump_state, empirical_fields,
                         generator_matrix,
@@ -74,7 +74,7 @@ def test_local_equilibrium_mean_and_determinism(pm1):
     assert np.array_equal(st1.spins, st2.spins)
     # empirical eta-mean within 4 sigma of the target density
     cp = invert_parameters(pm1, 0.6, 0.1)
-    from latgas.thermo import gibbs_measure, moments
+    from latgas.thermo import moments
     _, cov = moments(pm1, cp.tau, cp.theta)
     mean = pm1.eta[st1.spins].mean()
     assert abs(mean - 0.6) < 4.0 * np.sqrt(cov[0, 0] / n)
@@ -340,7 +340,7 @@ def test_version1_snapshot_rejected(tmp_path, pm1):
 
 @pytest.fixture
 def c_kernel():
-    if sim.event_kernel() != "c":
+    if sim.EVENTS.backend != "c":
         pytest.skip("no C compiler to build the event kernel")
 
 
@@ -353,14 +353,14 @@ def test_backends_give_identical_trajectories(request, monkeypatch, c_kernel,
     u0 = lambda x: 0.1 * np.cos(2 * np.pi * x)
     stops = (0.01, 0.02, 0.03, 0.04)
     runs = []
-    for kernel in (sim._resolve_kernel(), sim._apply_events_py):
-        monkeypatch.setattr(sim, "_kernel", kernel)
+    for kernel in (sim.EVENTS.impl, sim._apply_events_py):
+        monkeypatch.setattr(sim.EVENTS, "impl", kernel)
         st = sample_local_equilibrium(model, rho0, u0, 256, plan, seed=31)
         seen = []
         simulate(st, model, plan, stops[-1], observe_at=stops,
                  observer=lambda s: seen.append((s.accepted,
                                                  s.trajectory_hash)))
-        runs.append((sim.event_kernel(), st.spins.copy(), st.events, seen))
+        runs.append((sim.EVENTS.backend, st.spins.copy(), st.events, seen))
     (kc, spins_c, events_c, seen_c), (kp, spins_p, events_p, seen_p) = runs
     assert (kc, kp) == ("c", "python")
     assert events_c == events_p > 10_000
@@ -371,8 +371,8 @@ def test_backends_give_identical_trajectories(request, monkeypatch, c_kernel,
 @pytest.mark.parametrize("backend", ["c", "python"])
 def test_bad_event_arguments_raise(monkeypatch, pm1, backend):
     if backend == "python":
-        monkeypatch.setattr(sim, "_kernel", sim._apply_events_py)
-    elif sim.event_kernel() != "c":
+        monkeypatch.setattr(sim.EVENTS, "impl", sim._apply_events_py)
+    elif sim.EVENTS.backend != "c":
         pytest.skip("no C compiler to build the event kernel")
     st = LatticeState(spins=np.array([0, 1, 7, 2], dtype=np.uint8), time=0.0,
                       seed=1, rng=philox_stream(1))
@@ -400,8 +400,8 @@ def test_observer_cannot_corrupt_lattice(monkeypatch, pm1, backend):
     """The lattice is checked once per run and again after every observer
     call, so a state written by an observer is caught before the kernel."""
     if backend == "python":
-        monkeypatch.setattr(sim, "_kernel", sim._apply_events_py)
-    elif sim.event_kernel() != "c":
+        monkeypatch.setattr(sim.EVENTS, "impl", sim._apply_events_py)
+    elif sim.EVENTS.backend != "c":
         pytest.skip("no C compiler to build the event kernel")
     plan = ScalingPlan()
     st = sample_local_equilibrium(pm1, lambda x: 0.5 + 0 * x,
@@ -415,18 +415,12 @@ def test_observer_cannot_corrupt_lattice(monkeypatch, pm1, backend):
                  check_conservation=False)
 
 
-@pytest.mark.parametrize("compiler", [None, "false"])
-def test_python_fallback_without_compiler(monkeypatch, tmp_path, pm1,
-                                          compiler):
-    """No compiler, or one that fails, leaves the interpreted loop in use."""
-    path = compiler and shutil.which(compiler)
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    monkeypatch.setattr(native, "_find_compiler", lambda: path)
-    monkeypatch.setattr(sim, "_kernel", None)
+def test_python_fallback_without_compiler(monkeypatch, without_compiler,
+                                          pm1):
+    """Without a compiler the interpreted loop advances the chain."""
+    monkeypatch.setattr(sim, "EVENTS", dataclasses.replace(sim.EVENTS))
     plan = ScalingPlan()
     st = sample_local_equilibrium(pm1, lambda x: 0.5 + 0 * x,
                                   lambda x: 0.0 * x, 64, plan, seed=2)
     simulate(st, pm1, plan, 0.01)
     assert st.events > 0
-    assert sim.event_kernel() == "python"
-    assert not list(tmp_path.rglob("*.so"))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -162,7 +164,7 @@ def test_batch_inversion_equals_pointwise(request, name):
 
 @pytest.fixture
 def c_tilt():
-    if thermo.tilt_kernel() != "c":
+    if thermo.TILT.backend != "c":
         pytest.skip("no C compiler to build the tilt kernel")
 
 
@@ -196,7 +198,7 @@ def test_c_inversion_matches_numpy(c_tilt):
         site = model.site_table
         m0 = float(model.pi @ model.eta)
         args = (site, m0, rho.ravel(), u.ravel(), 1e-12, 100)
-        (res_c, p_c, it_c, worst_c, bad_c) = thermo._resolve_kernel()[0](*args)
+        (res_c, p_c, it_c, worst_c, bad_c) = thermo.TILT.impl[0](*args)
         (res_p, p_p, it_p, worst_p, bad_p) = thermo._invert_py(*args)
         assert bad_c == bad_p == -1, name
         assert it_c == it_p, name
@@ -229,7 +231,7 @@ def test_c_nonconvergence_message(c_tilt, pm1):
         invert_parameters_grid(pm1, rho, u)
     assert str(exc.value) == "Newton failed at (rho,u)=(1.5,0)"
     site, m0 = pm1.site_table, float(pm1.pi @ pm1.eta)
-    for kernel in (thermo._resolve_kernel()[0], thermo._invert_py):
+    for kernel in (thermo.TILT.impl[0], thermo._invert_py):
         assert kernel(site, m0, rho, u, 1e-12, 100)[-1] == 2
         # too few iterations for any point
         assert kernel(site, m0, rho, u, 1e-12, 2)[-1] == 0
@@ -240,8 +242,7 @@ def test_numpy_tilt_without_compiler(monkeypatch, pm1, two_lane):
     from latgas import macroscopic_flux, native
 
     monkeypatch.setattr(native, "load", lambda *args: None)
-    monkeypatch.setattr(thermo, "_kernel", None)
-    assert thermo.tilt_kernel() == "python"
+    monkeypatch.setattr(thermo, "TILT", dataclasses.replace(thermo.TILT))
     rho, u = np.array([1e-11, 0.2, 0.6]), np.array([0.0, -0.1, 0.3])
     sol = invert_parameters_grid(pm1, rho, u)
     res, p, it, worst, _ = thermo._invert_py(
