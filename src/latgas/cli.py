@@ -20,13 +20,13 @@ def _versions():
 
     from . import __version__
     from .entropy import MARCH
-    from .sim import EVENTS
+    from .sim import EVENTS, SITES
     from .thermo import TILT
 
     return {"latgas": __version__, "numpy": np.__version__,
             "scipy": scipy.__version__, "python": sys.version.split()[0],
             "event_kernel": EVENTS.backend, "march_kernel": MARCH.backend,
-            "tilt_kernel": TILT.backend}
+            "tilt_kernel": TILT.backend, "sites_kernel": SITES.backend}
 
 
 def _write_manifest(out_dir, command, params, outputs, error=None):

@@ -24,7 +24,7 @@ from .fluxes import macroscopic_flux
 from .models import (TooLarge, build_model, configurations, level_totals,
                      microscopic_fluxes)
 from .pde import LimitFlux, ModelFluxView, smooth_solution_oracle
-from .sim import (ScalingPlan, draw_states, sample_local_equilibrium,
+from .sim import (ScalingPlan, draw_sites, sample_local_equilibrium,
                   simulate, empirical_fields, weight_function, philox_stream)
 from .thermo import DomainPolygon, invert_parameters_grid
 
@@ -290,9 +290,12 @@ class TailReport:
                 f"{self.violations_u}/{self.bins} (u)")
 
 
+_SITE_CHUNK = 200_000     # sites per chunk: both buffers stay in cache
+
+
 def _sample_blocks(model, plan, n, rho0, u0, samples, seed):
     """Draw block averages of (eta, zeta) from i.i.d. local equilibrium,
-    spins by ``draw_states``."""
+    sites by ``draw_sites`` into two buffers reused across chunks."""
     l = plan.block_size(n)
     rho_s, u_s = plan.scale_profile_values(np.array([rho0]), np.array([u0]), n)
     cum = np.cumsum(invert_parameters_grid(model, rho_s, u_s).p[0])
@@ -303,12 +306,16 @@ def _sample_blocks(model, plan, n, rho0, u0, samples, seed):
     eta, zeta = model.eta.astype(float), model.zeta.astype(float)
     rho_hat = np.empty(samples)
     u_hat = np.empty(samples)
-    chunk = max(1, int(2e6 // (2 * l)))
+    # a multiple of 4 rows: OpenBLAS's gemv gives a call's last rows % 4
+    # rows to a kernel that rounds differently, so with such chunks every
+    # block average equals that of one product over all samples
+    chunk = 4 * max(1, _SITE_CHUNK // (4 * offs.size))
+    eta_s, zeta_s = np.empty((2, min(chunk, samples), offs.size))
     for done in range(0, samples, chunk):
-        draws = rng.random((min(chunk, samples - done), offs.size))
-        spins = draw_states(cum, draws)
-        rho_hat[done:done + len(draws)] = f_r * (np.take(eta, spins) @ wts)
-        u_hat[done:done + len(draws)] = f_u * (np.take(zeta, spins) @ wts)
+        rows = min(chunk, samples - done)
+        draw_sites(rng, cum, eta, zeta, eta_s[:rows], zeta_s[:rows])
+        rho_hat[done:done + rows] = f_r * (eta_s[:rows] @ wts)
+        u_hat[done:done + rows] = f_u * (zeta_s[:rows] @ wts)
     return rho_hat, u_hat, l
 
 

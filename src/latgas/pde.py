@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Field
+from .fluxes import FluxPair
 
 
 class ComplexEigenvalues(ValueError):
@@ -118,6 +119,9 @@ class ScaledFluxView:
     limit fluxes with parameter gamma as n grows."""
 
     def __init__(self, base, n, beta):
+        if isinstance(base, FluxPair):
+            raise TypeError("ScaledFluxView needs a flux view: wrap the "
+                            "FluxPair in ModelFluxView")
         self.base = base
         self.newton = getattr(base, "newton", None)
         self.n = float(n)

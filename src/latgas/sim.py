@@ -11,6 +11,9 @@ snapshots store the stream state, so a restart continues the same trajectory.
 Candidate events are applied by a small C kernel, the record ``EVENTS`` (see
 ``latgas.native``).  Its twin, the interpreted reference loop, gives
 identical trajectories, and ``EVENTS.backend`` reports which one is in use.
+The tail sampler's sites come from the record ``SITES``, which draws through
+the generator's own bit generator, so its values and the stream it leaves
+equal those of its numpy twin.
 """
 
 from __future__ import annotations
@@ -148,6 +151,81 @@ def draw_states(cum, draws):
     for c in np.moveaxis(cum[..., :-1], -1, 0):
         spins += draws > c
     return spins
+
+
+# Draws through the generator's own bitgen_t (numpy/random/bitgen.h), so
+# each site takes the double that Generator.random would give it and the
+# stream continues where numpy's would; the state is draw_states' rule.
+_SITES_SOURCE = r"""
+#include <stdint.h>
+
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+void draw_sites(bitgen_t *bg, int64_t m, const double *cum, int64_t k,
+                const double *eta, const double *zeta,
+                double *eta_out, double *zeta_out)
+{
+    for (int64_t i = 0; i < m; i++) {
+        double d = bg->next_double(bg->state);
+        int64_t s = 0;
+        for (int64_t q = 0; q < k - 1; q++)
+            s += d > cum[q];
+        eta_out[i] = eta[s];
+        zeta_out[i] = zeta[s];
+    }
+}
+"""
+
+
+def _draw_sites_py(rng, cum, eta, zeta, eta_out, zeta_out):
+    """``rng.random`` over the output shape, ``draw_states``, then the two
+    lookups: the reference, and the fallback without a C compiler."""
+    spins = draw_states(cum, rng.random(eta_out.shape))
+    np.take(eta, spins, out=eta_out)
+    np.take(zeta, spins, out=zeta_out)
+
+
+def _ctypes_sites(lib):
+    """The compiled pass with ``_draw_sites_py``'s signature."""
+    fn = lib.draw_sites
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    fn.argtypes = [ptr, i64, ptr, i64, ptr, ptr, ptr, ptr]
+    fn.restype = None
+
+    def draw_sites(rng, cum, eta, zeta, eta_out, zeta_out):
+        bitgen = rng.bit_generator
+        with bitgen.lock:       # as numpy holds it while it draws
+            fn(bitgen.ctypes.bit_generator, eta_out.size, cum.ctypes.data,
+               cum.size, eta.ctypes.data, zeta.ctypes.data,
+               eta_out.ctypes.data, zeta_out.ctypes.data)
+
+    return draw_sites
+
+
+SITES = native.Kernel("sites", _SITES_SOURCE, _ctypes_sites, _draw_sites_py)
+
+
+def draw_sites(rng, cum, eta, zeta, eta_out, zeta_out):
+    """Fill ``eta_out`` and ``zeta_out`` with ``eta[s]`` and ``zeta[s]`` of
+    independent sites, ``s`` drawn from the cumulative weights ``cum`` by
+    ``draw_states`` on ``rng.random`` draws taken in the outputs' C order.
+    Every backend leaves the same values and the same ``rng`` state."""
+    k = np.size(cum)
+    if k < 1:
+        raise ValueError("cum must hold at least one weight")
+    for name, a in (("cum", cum), ("eta", eta), ("zeta", zeta)):
+        _require(a, np.float64, (k,), name)
+    for name, a in (("eta_out", eta_out), ("zeta_out", zeta_out)):
+        _require(a, np.float64, np.shape(eta_out), name)
+        if not a.flags.writeable:
+            raise ValueError(f"{name} must be writeable")
+    SITES.impl(rng, cum, eta, zeta, eta_out, zeta_out)
 
 
 def sample_local_equilibrium(model, rho_profile, u_profile, n, plan, seed,

@@ -2,7 +2,7 @@ import shutil
 
 import pytest
 
-from latgas import build_model, macroscopic_flux, native
+from latgas import build_model, macroscopic_flux, native, sim
 
 
 @pytest.fixture(scope="session")
@@ -33,3 +33,9 @@ def without_compiler(request, monkeypatch, tmp_path):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(native, "_find_compiler", lambda: path)
     return tmp_path
+
+
+@pytest.fixture
+def c_sites():
+    if sim.SITES.backend != "c":
+        pytest.skip("no C compiler to build the site kernel")

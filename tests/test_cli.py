@@ -91,10 +91,14 @@ def test_enumerate_exit(capsys):
     assert "fitted C" in capsys.readouterr().out
 
 
-def test_tails_cli(capsys):
-    rc = main(["tails", "--model", "pm1", "--n", "500", "--l", "40",
-               "--samples", "60000"])
+def test_tails_cli(tmp_path, capsys):
+    from latgas.sim import SITES
+
+    rc = main(["--out", str(tmp_path), "tails", "--model", "pm1", "--n",
+               "500", "--l", "40", "--samples", "60000"])
     assert rc == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["versions"]["sites_kernel"] == SITES.backend
 
 
 def test_converge_config_file(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -106,7 +108,7 @@ def test_tail_report_fails_on_scaled_test_half(pm1):
 
 def test_block_sampler_matches_comparison_formula(pm1):
     # the sampler's spins against searchsorted on all draws taken at once;
-    # the sampler draws in chunks of 20000 at l = 50
+    # the sampler draws in chunks of 2020 rows at l = 50
     from latgas import build_model
     from latgas.sim import philox_stream, weight_function
     from latgas.thermo import gibbs_measure, invert_parameters_grid
@@ -124,6 +126,35 @@ def test_block_sampler_matches_comparison_formula(pm1):
         assert np.array_equal(rho_hat, model.eta[spins] @ wts)
         assert np.array_equal(u_hat, model.zeta[spins] @ wts)
         assert np.array_equal(spins, (draws[..., None] > cum[:-1]).sum(axis=-1))
+
+
+@pytest.mark.parametrize("gamma", [None, 1.25])
+def test_block_sampler_backends_agree(monkeypatch, c_sites, pm1, gamma):
+    """The compiled site pass and the numpy twin give the same block
+    averages over a sample count that is no multiple of the chunk."""
+    from latgas import build_model, sim
+
+    model = pm1 if gamma is None else build_model("two-lane", gamma=gamma)
+    runs = []
+    for kernel in (sim.SITES.impl, sim._draw_sites_py):
+        monkeypatch.setattr(sim.SITES, "impl", kernel)
+        runs.append(_sample_blocks(model, ScalingPlan(l=50), 1000, 0.5, 0.1,
+                                   5003, 9))
+    (rho_c, u_c, _), (rho_p, u_p, _) = runs
+    assert np.array_equal(rho_c, rho_p) and np.array_equal(u_c, u_p)
+
+
+def test_tail_report_same_without_compiler(monkeypatch, without_compiler,
+                                           pm1):
+    """Without a compiler the numpy twin samples, and the pinned report
+    comes out unchanged."""
+    from latgas import sim
+
+    monkeypatch.setattr(sim, "SITES", dataclasses.replace(sim.SITES))
+    rep = tail_checks(pm1, ScalingPlan(l=50), n=1000, samples=200_000, seed=11)
+    assert sim.SITES.backend == "python"
+    assert (rep.C_rho, rep.C_u) == (0.48600960833333345, 0.1941818568357633)
+    assert (rep.violations_rho, rep.violations_u) == (0, 1)
 
 
 def test_block_sampler_moments_and_lower_tail(pm1):

@@ -14,7 +14,7 @@ import pytest
 from latgas import entropy, sim, thermo
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "latgas"
-RECORDS = [sim.EVENTS, entropy.MARCH, thermo.TILT]
+RECORDS = [sim.EVENTS, entropy.MARCH, thermo.TILT, sim.SITES]
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: r.name)

@@ -282,6 +282,13 @@ def test_scaled_flux_limits(two_lane_flux):
     assert errs[2] < 5e-5
 
 
+def test_scaled_view_rejects_bare_flux_pair(two_lane_flux):
+    from latgas.entropy import build_entropy
+
+    with pytest.raises(TypeError, match="wrap the FluxPair in ModelFluxView"):
+        build_entropy(two_lane_flux, 1.0, np.exp(4.0), n=1000)
+
+
 def test_blowup_detection_and_partial_result():
     # steep data on a genuinely nonlinear system must blow up before t = 2
     flux = LimitFlux(2.0)

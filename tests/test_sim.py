@@ -12,7 +12,7 @@ from latgas.sim import (LatticeState, ScalingPlan, TooLarge, block_average,
                         load_state, philox_stream, product_measure_vector,
                         sample_local_equilibrium, simulate, weight_function,
                         write_snapshot_csv)
-from latgas.thermo import OutOfDomain, invert_parameters
+from latgas.thermo import OutOfDomain, gibbs_measure, invert_parameters
 
 
 def test_plan_validation():
@@ -62,6 +62,68 @@ def test_draw_states_last_weight_below_one():
     assert draw_states(cum, draws).tolist() == [0, 0, 1, 2, 2]
     rows = np.tile(cum, (draws.size, 1))
     assert draw_states(rows, draws).tolist() == [0, 0, 1, 2, 2]
+
+
+def _site_table(model):
+    cp = invert_parameters(model, 0.5, 0.1)
+    return (np.cumsum(gibbs_measure(model, cp.tau, cp.theta)),
+            model.eta.astype(float), model.zeta.astype(float))
+
+
+def _stream_words(rng):
+    """Everything ``dump_state`` stores of a Philox generator."""
+    st = rng.bit_generator.state
+    return (st["state"]["key"].tolist(), st["state"]["counter"].tolist(),
+            st["buffer"].tolist(), st["buffer_pos"], st["has_uint32"],
+            st["uinteger"])
+
+
+@pytest.mark.parametrize("gamma", [None, 1.25])
+def test_site_fill_matches_twin_and_stream(c_sites, pm1, gamma):
+    """The compiled pass fills the sites the numpy twin does, bit for bit,
+    and leaves the generator where ``rng.random`` over as many draws would,
+    so later draws continue the same stream."""
+    model = pm1 if gamma is None else build_model("two-lane", gamma=gamma)
+    cum, eta, zeta = _site_table(model)
+    shape = (101, 123)      # 12,423 sites: no multiple of Philox's 4 words
+    runs = []
+    for kernel in (sim.SITES.impl, sim._draw_sites_py):
+        rng = philox_stream(9, 77)
+        rng.random(3)       # start inside a Philox output block
+        eta_out, zeta_out = np.empty((2,) + shape)
+        kernel(rng, cum, eta, zeta, eta_out, zeta_out)
+        runs.append((eta_out, zeta_out, _stream_words(rng), rng.random(5)))
+    ref = philox_stream(9, 77)
+    ref.random(3)
+    ref.random(shape)
+    (eta_c, zeta_c, words_c, next_c), (eta_p, zeta_p, words_p, next_p) = runs
+    assert np.array_equal(eta_c, eta_p) and np.array_equal(zeta_c, zeta_p)
+    assert set(np.unique(zeta_c)) == set(zeta)      # every state was drawn
+    assert words_c == words_p == _stream_words(ref)
+    assert np.array_equal(next_c, next_p)
+    assert np.array_equal(next_c, ref.random(5))
+
+
+def test_draw_sites_rejects_bad_arguments(pm1):
+    cum, eta, zeta = _site_table(pm1)
+    out = np.empty((2, 6))
+    good = dict(cum=cum, eta=eta, zeta=zeta, eta_out=out[0], zeta_out=out[1])
+    frozen = np.empty(6)
+    frozen.flags.writeable = False
+    for key, bad in [("cum", cum.astype(np.float32)),
+                     ("cum", np.empty(0)),
+                     ("eta", eta[:-1]),
+                     ("zeta", np.tile(zeta, 2)[::2]),
+                     ("eta_out", np.empty((6, 2))[:, 0]),
+                     ("zeta_out", np.empty(5)),
+                     ("zeta_out", frozen)]:
+        args = good | {key: bad}
+        if key == "cum" and bad.size == 0:
+            args |= dict(eta=bad, zeta=bad)
+        with pytest.raises(ValueError):
+            sim.draw_sites(philox_stream(1), **args)
+    sim.draw_sites(philox_stream(1), **good)
+    assert set(out[0]) <= set(eta) and set(out[1]) <= set(zeta)
 
 
 def test_local_equilibrium_mean_and_determinism(pm1):

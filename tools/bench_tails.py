@@ -12,6 +12,8 @@ side:
   (the ``equilibrium`` benchmark's call), best of three in one process;
 - ns per sampled site: ``_sample_blocks`` alone, best of three (timed in
   turn with the previous row), divided by the 10^6 x 99 sites it draws;
+- the worker's peak resident set (``ru_maxrss``) after those calls, with
+  the kernel cache warmed by an untimed call first;
 - criterion 12's call, from pytest's ``--durations`` (its setup is below
   the 5 ms pytest reports).
 """
@@ -19,6 +21,7 @@ side:
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 
@@ -38,6 +41,7 @@ def _worker(src):
     from latgas.sim import ScalingPlan
 
     model, plan = build_model("pm1"), ScalingPlan(l=50)
+    _sample_blocks(model, plan, 1000, 0.5, 0.0, 100, 7)    # builds any kernel
     calls = {"tail_checks_s": lambda: tail_checks(model, plan, n=1000,
                                                   samples=SAMPLES, seed=7),
              "sample_s": lambda: _sample_blocks(model, plan, 1000, 0.5, 0.0,
@@ -50,7 +54,9 @@ def _worker(src):
             times[key].append(time.perf_counter() - t0)
     sites = SAMPLES * (2 * plan.block_size(1000) - 1)
     print(json.dumps({"tail_checks_s": min(times["tail_checks_s"]),
-                      "ns_per_sampled_site": min(times["sample_s"]) / sites * 1e9}))
+                      "ns_per_sampled_site": min(times["sample_s"]) / sites * 1e9,
+                      "peak_rss_mb": resource.getrusage(
+                          resource.RUSAGE_SELF).ru_maxrss / 1024}))
 
 
 def main(argv=None):

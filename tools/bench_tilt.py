@@ -118,8 +118,8 @@ def alternate_pairs(parent, pairs, measure, out, command):
 
     ``measure(checkout)`` returns one flat dict of numbers.  A key's unit
     is ns or ms if it starts with ``ns_`` or ``ms_``, s if it ends with
-    ``_s``, none (``1``) if it ends with ``_error`` or ``_ratio``, else
-    count.
+    ``_s``, MB if it ends with ``_mb``, none (``1``) if it ends with
+    ``_error`` or ``_ratio``, else count.
     """
     sides = {"parent": os.path.abspath(parent), "change": ROOT}
     runs = {side: [] for side in sides}
@@ -133,6 +133,7 @@ def alternate_pairs(parent, pairs, measure, out, command):
     for key in runs["change"][0]:
         unit = (key[:2] if key.startswith(("ns_", "ms_"))
                 else "s" if key.endswith("_s")
+                else "MB" if key.endswith("_mb")
                 else "1" if key.endswith(("_error", "_ratio")) else "count")
         rows[key] = {"unit": unit,
                      **{side: quartiles([r[key] for r in runs[side]])
