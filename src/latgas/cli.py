@@ -11,6 +11,7 @@ import csv
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -29,12 +30,16 @@ def _versions():
             "tilt_kernel": TILT.backend, "sites_kernel": SITES.backend}
 
 
-def _write_manifest(out_dir, command, params, outputs, error=None):
-    """Write ``manifest.json``; ``status`` is "failed" when ``error`` is set."""
+def _write_manifest(out_dir, command, params, outputs, error=None,
+                    metrics=None):
+    """Write ``manifest.json``; ``status`` is "failed" when ``error`` is set,
+    and ``metrics`` (what the run did and what it cost) goes in as is."""
     os.makedirs(out_dir, exist_ok=True)
     manifest = {"command": command, "params": params,
                 "versions": _versions(), "outputs": outputs,
                 "status": "ok" if error is None else "failed"}
+    if metrics is not None:
+        manifest["metrics"] = metrics
     if error is not None:
         manifest["error"] = error
     path = os.path.join(out_dir, "manifest.json")
@@ -103,7 +108,7 @@ def cmd_simulate(args):
     u0 = lambda x: args.u_base + args.u_amp * np.cos(2 * np.pi * x)
     args.out = _resolve_out(args)
     os.makedirs(args.out, exist_ok=True)
-    outputs = []
+    outputs, replicas = [], []
     times = np.linspace(0.0, args.t_end, args.snapshots + 1)[1:]
     for rep in range(args.replicas):
         state = sample_local_equilibrium(model, rho0, u0, args.n, plan,
@@ -115,7 +120,12 @@ def cmd_simulate(args):
             rows.append((st.time, fr, fu))
 
         obs(state)
+        t0 = time.perf_counter()
         simulate(state, model, plan, args.t_end, observe_at=times, observer=obs)
+        replicas.append({"replica": rep, "events": state.events,
+                         "accepted": state.accepted,
+                         "trajectory_hash": state.trajectory_hash,
+                         "simulate_s": time.perf_counter() - t0})
         path = os.path.join(args.out, f"snapshots_rep{rep}.csv")
         write_snapshot_csv(path, rows)
         outputs.append(path)
@@ -124,7 +134,8 @@ def cmd_simulate(args):
         outputs.append(dump)
         print(f"replica {rep}: events={state.events:,} "
               f"hash={state.trajectory_hash[:16]}")
-    _write_manifest(args.out, "simulate", _params(args), outputs)
+    _write_manifest(args.out, "simulate", _params(args), outputs,
+                    metrics={"replicas": replicas})
     return 0
 
 

@@ -8,12 +8,22 @@ law and costs O(1) per candidate.  Randomness comes from counter-based
 Philox streams so replicas are independent and trajectories replayable;
 snapshots store the stream state, so a restart continues the same trajectory.
 
-Candidate events are applied by a small C kernel, the record ``EVENTS`` (see
-``latgas.native``).  Its twin, the interpreted reference loop, gives
-identical trajectories, and ``EVENTS.backend`` reports which one is in use.
-The tail sampler's sites come from the record ``SITES``, which draws through
-the generator's own bit generator, so its values and the stream it leaves
-equal those of its numpy twin.
+Candidate events are drawn and applied in chunks of ``_EVENT_CHUNK`` by the
+record ``EVENTS`` (see ``latgas.native``).  A chunk takes all its bonds
+first, as ``rng.integers(0, n, dtype=np.int64)`` would, then one uniform per
+event, as ``rng.random`` would; so the chunk boundary is part of the stream,
+and changing ``_EVENT_CHUNK`` changes every trajectory.  The compiled pass
+draws through the generator's own bit generator: numpy's 32-bit Lemire rule
+for the bonds, into a reused uint32 buffer, then each uniform as its event
+is applied.  That rule holds for n < 2^32, so ``simulate`` refuses larger
+lattices.  An event's channel is the number of the pair's cumulative
+thresholds at or below its uniform; the channel table's last column maps
+the pair to itself, so a rejection needs no branch.  The twin (numpy draws,
+then the interpreted loop) gives identical trajectories and leaves the same
+stream state, and ``EVENTS.backend`` reports which one is in use.  The tail
+sampler's sites come from the record ``SITES``, which draws through the
+generator's own bit generator in the same way, so its values and the stream
+it leaves equal those of its numpy twin.
 """
 
 from __future__ import annotations
@@ -260,72 +270,126 @@ class ConservationViolated(RuntimeError):
     pass
 
 
-# Same loop as _apply_events_py over flat row-major tables; the caller
-# validates every argument (see _bind_events and _check_draws) before it runs.
+# numpy's int64 ``integers(0, n)`` for 1 <= n < 2^32 (random_bounded_uint64_fill):
+# no draw at all for n = 1, else buffered_bounded_lemire_uint32 with the
+# bound rng = n - 1, one next_uint32 per try.  apply_events fills a chunk's
+# bonds first, then draws each event's uniform as Generator.random would and
+# applies it, so the stream is that of _apply_events_py.  The channel is the
+# number of thresholds <= u; column nchan of out_a/out_b is the identity.
 _KERNEL_SOURCE = r"""
 #include <stdint.h>
 
-int64_t apply_events(uint8_t *spins, int64_t n, const int64_t *bonds,
-                     const double *us, int64_t m, const double *cum,
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+void fill_bonds(bitgen_t *bg, uint32_t rng, int64_t m, uint32_t *bonds)
+{
+    if (rng == 0) {
+        for (int64_t i = 0; i < m; i++)
+            bonds[i] = 0;
+        return;
+    }
+    const uint32_t excl = rng + 1;
+    const uint32_t threshold = (UINT32_MAX - rng) % excl;
+    for (int64_t i = 0; i < m; i++) {
+        uint64_t x = (uint64_t)bg->next_uint32(bg->state) * excl;
+        while ((uint32_t)x < threshold)
+            x = (uint64_t)bg->next_uint32(bg->state) * excl;
+        bonds[i] = (uint32_t)(x >> 32);
+    }
+}
+
+int64_t apply_events(bitgen_t *bg, uint8_t *spins, int64_t n,
+                     uint32_t *bonds, int64_t m, const double *cum,
                      const uint8_t *out_a, const uint8_t *out_b,
                      int64_t nchan, int64_t k)
 {
+    fill_bonds(bg, (uint32_t)(n - 1), m, bonds);
     int64_t accepted = 0;
     for (int64_t i = 0; i < m; i++) {
+        double u = bg->next_double(bg->state);
         int64_t j = bonds[i];
         int64_t jp = j + 1 == n ? 0 : j + 1;
-        int64_t row = ((int64_t)spins[j] * k + spins[jp]) * nchan;
-        for (int64_t q = 0; q < nchan; q++) {
-            if (us[i] < cum[row + q]) {
-                spins[j] = out_a[row + q];
-                spins[jp] = out_b[row + q];
-                accepted++;
-                break;
-            }
-        }
+        int64_t c = (int64_t)spins[j] * k + spins[jp];
+        const double *row = cum + c * nchan;
+        int64_t q = 0;
+        for (int64_t r = 0; r < nchan; r++)
+            q += row[r] <= u;
+        accepted += q != nchan;
+        spins[j] = out_a[c * (nchan + 1) + q];
+        spins[jp] = out_b[c * (nchan + 1) + q];
     }
     return accepted;
 }
 """
 
+_MAX_SITES = 2 ** 32 - 1    # numpy draws bonds by another rule from 2^32 on
 
-def _apply_events_py(spins, bonds, us, cum, out_a, out_b, nchan, k):
-    """Interpreted reference loop, and the fallback without a C compiler."""
-    accepted = 0
+
+def _fill_bonds_py(rng, n, bonds):
+    """Fill ``bonds`` with ``rng.integers(0, n)`` draws, as ``dtype=np.int64``
+    would give them."""
+    bonds[:] = rng.integers(0, n, size=bonds.size, dtype=np.int64)
+
+
+def _apply_events_py(rng, spins, bonds, cum, out_a, out_b, nchan, k):
+    """Draw ``bonds.size`` candidate events (all bonds into ``bonds``, then
+    one uniform each), apply them in order and return the number accepted:
+    the interpreted reference loop, and the fallback without a C compiler."""
     n = spins.shape[0]
-    for i in range(bonds.shape[0]):
-        j = bonds[i]
-        jp = j + 1
-        if jp == n:
-            jp = 0
-        c = np.int64(spins[j]) * k + np.int64(spins[jp])
-        x = us[i]
-        for q in range(nchan):
-            if x < cum[c, q]:
-                spins[j] = out_a[c, q]
-                spins[jp] = out_b[c, q]
-                accepted += 1
-                break
+    _fill_bonds_py(rng, n, bonds)
+    us = rng.random(bonds.size)
+    s, cum = spins.tolist(), cum.tolist()
+    out_a, out_b = out_a.tolist(), out_b.tolist()
+    accepted = 0
+    for j, x in zip(bonds.tolist(), us.tolist()):
+        jp = j + 1 if j + 1 < n else 0
+        c = s[j] * k + s[jp]
+        q = sum(t <= x for t in cum[c])
+        accepted += q != nchan
+        s[j] = out_a[c][q]
+        s[jp] = out_b[c][q]
+    spins[:] = s
     return accepted
 
 
 def _ctypes_events(lib):
-    """The compiled loop with ``_apply_events_py``'s signature."""
-    fn = lib.apply_events
+    """``(fill_bonds, apply_events)`` around the compiled pass, with the
+    signatures of the Python ones; both draw through ``rng``'s own bit
+    generator under its lock, as numpy does."""
+    fill, run = lib.fill_bonds, lib.apply_events
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    fn.argtypes = [ptr, i64, ptr, ptr, i64, ptr, ptr, ptr, i64, i64]
-    fn.restype = i64
+    fill.argtypes = [ptr, ctypes.c_uint32, i64, ptr]
+    fill.restype = None
+    run.argtypes = [ptr, ptr, i64, ptr, i64, ptr, ptr, ptr, i64, i64]
+    run.restype = i64
 
-    def apply_events(spins, bonds, us, cum, out_a, out_b, nchan, k):
-        return fn(spins.ctypes.data, spins.size, bonds.ctypes.data,
-                  us.ctypes.data, bonds.size, cum.ctypes.data,
-                  out_a.ctypes.data, out_b.ctypes.data, nchan, k)
+    def fill_bonds(rng, n, bonds):
+        if not 1 <= n <= _MAX_SITES:
+            raise ValueError(f"bonds need 1 <= n <= {_MAX_SITES}, got {n}")
+        bitgen = rng.bit_generator
+        with bitgen.lock:
+            fill(bitgen.ctypes.bit_generator, n - 1, bonds.size,
+                 bonds.ctypes.data)
 
-    return apply_events
+    def apply_events(rng, spins, bonds, cum, out_a, out_b, nchan, k):
+        bitgen = rng.bit_generator
+        with bitgen.lock:
+            return run(bitgen.ctypes.bit_generator, spins.ctypes.data,
+                       spins.size, bonds.ctypes.data, bonds.size,
+                       cum.ctypes.data, out_a.ctypes.data, out_b.ctypes.data,
+                       nchan, k)
+
+    return fill_bonds, apply_events
 
 
 EVENTS = native.Kernel("events", _KERNEL_SOURCE, _ctypes_events,
-                       _apply_events_py)
+                       (_fill_bonds_py, _apply_events_py))
 
 
 def _require(a, dtype, shape, name):
@@ -341,49 +405,35 @@ def _check_lattice(spins, cum, out_a, out_b, nchan, k):
     _require(spins, np.uint8, (np.size(spins),), "spins")
     if not spins.flags.writeable:
         raise ValueError("spins must be writeable")
-    for name, table, dtype in (("cum", cum, np.float64),
-                               ("out_a", out_a, np.uint8),
-                               ("out_b", out_b, np.uint8)):
-        _require(table, dtype, (k * k, nchan), name)
+    _require(cum, np.float64, (k * k, nchan), "cum")
+    for name, table in (("out_a", out_a), ("out_b", out_b)):
+        _require(table, np.uint8, (k * k, nchan + 1), name)
     for name, a in (("spins", spins), ("out_a", out_a), ("out_b", out_b)):
         if a.size and int(a.max()) >= k:
             raise ValueError(f"{name} holds state {int(a.max())}, "
                              f"outside 0..{k - 1}")
 
 
-def _check_draws(spins, bonds, us):
-    """Reject candidate events outside the lattice."""
-    _require(bonds, np.int64, (bonds.size,), "bonds")
-    _require(us, np.float64, bonds.shape, "draws")
-    if bonds.size and not (bonds.min() >= 0 and bonds.max() < spins.size):
-        raise ValueError(f"bond index outside 0..{spins.size - 1}")
-
-
-def _bind_events(spins, cum, out_a, out_b, nchan, k):
-    """Check the lattice and channel table once; returns ``apply(bonds,
-    us)``, which applies candidate events in order and returns the number
-    accepted.  The draws are not checked again: they must be int64 bonds in
-    0..n-1 and as many float64 uniforms, as ``simulate`` makes them."""
+def _bind_events(rng, spins, cum, out_a, out_b, nchan, k):
+    """Check the lattice and channel table once; returns ``apply(bonds)``,
+    which draws ``bonds.size`` candidate events from ``rng`` (their bonds
+    into the uint32 buffer ``bonds``), applies them in order and returns
+    the number accepted."""
     nchan, k = int(nchan), int(k)
     _check_lattice(spins, cum, out_a, out_b, nchan, k)
-    kernel = EVENTS.impl
+    kernel = EVENTS.impl[1]
 
-    def apply(bonds, us):
-        return kernel(spins, bonds, us, cum, out_a, out_b, nchan, k)
+    def apply(bonds):
+        return kernel(rng, spins, bonds, cum, out_a, out_b, nchan, k)
 
     return apply
 
 
-def _apply_events(spins, bonds, us, cum, out_a, out_b, nchan, k):
-    """Apply candidate events in order, every argument checked; returns the
-    number accepted."""
-    apply = _bind_events(spins, cum, out_a, out_b, nchan, k)
-    _check_draws(spins, bonds, us)
-    return apply(bonds, us)
-
-
 class _ChannelTable:
-    """Per-pair jump channels with cumulative acceptance thresholds."""
+    """Per-pair jump channels with cumulative acceptance thresholds.  A
+    uniform draw u takes channel q, the number of thresholds ``cum[c, q]``
+    at or below u; column ``nchan`` of ``out_a``/``out_b`` maps the pair to
+    itself, so a draw above every threshold is a rejection."""
 
     def __init__(self, model, lam, kap):
         k = model.nstates
@@ -393,8 +443,9 @@ class _ChannelTable:
         nchan = int((pair_rates > 0).sum(axis=1).max())
         self.nchan = max(nchan, 1)
         self.cum = np.zeros((k * k, self.nchan))
-        self.out_a = np.zeros((k * k, self.nchan), dtype=np.uint8)
-        self.out_b = np.zeros((k * k, self.nchan), dtype=np.uint8)
+        pair = np.arange(k * k)[:, None] + np.zeros(self.nchan + 1, int)
+        self.out_a = (pair // k).astype(np.uint8)
+        self.out_b = (pair % k).astype(np.uint8)
         self.bond_rate = float(pair_rates.sum(axis=1).max())
         for c in range(k * k):
             rates = pair_rates[c]
@@ -405,7 +456,8 @@ class _ChannelTable:
                 self.cum[c, q] = acc
                 self.out_a[c, q] = target // k
                 self.out_b[c, q] = target % k
-            # pad with the last threshold so unmatched draws mean rejection
+            # pad with the last threshold: a draw at or above it counts every
+            # column and lands on the identity
             self.cum[c, len(idx):] = acc
 
 
@@ -419,6 +471,9 @@ def simulate(state, model, plan, t_end, observe_at=(), observer=None,
     if t_end < state.time - 1e-15:
         raise ValueError("t_end precedes the current state time")
     n = state.n
+    if n > _MAX_SITES:
+        raise ValueError(f"the event kernel draws bonds for n <= {_MAX_SITES} "
+                         f"sites, got n = {n}")
     lam = plan.lambda_speed(n)
     kap = plan.kappa_speed(n)
     table = _ChannelTable(model, lam, kap)
@@ -426,18 +481,22 @@ def simulate(state, model, plan, t_end, observe_at=(), observer=None,
     stops = sorted(set(float(t) for t in observe_at) | {float(t_end)})
     stops = [t for t in stops if t > state.time + 1e-15]
     apply = None
+    bonds = np.empty(0, dtype=np.uint32)    # reused across chunks and stops
     for t_stop in stops:
         dt = t_stop - state.time
         n_events = int(state.rng.poisson(total_rate * dt))
         remaining = n_events
         while remaining > 0:
             if apply is None:
-                apply = _bind_events(state.spins, table.cum, table.out_a,
-                                     table.out_b, table.nchan, table.k)
+                apply = _bind_events(state.rng, state.spins, table.cum,
+                                     table.out_a, table.out_b, table.nchan,
+                                     table.k)
+            # the chunk boundary is part of the stream: numpy draws all of a
+            # chunk's bonds before its uniforms
             chunk = min(remaining, _EVENT_CHUNK)
-            bonds = state.rng.integers(0, n, size=chunk, dtype=np.int64)
-            us = state.rng.random(chunk)
-            acc = apply(bonds, us)
+            if bonds.size < chunk:
+                bonds = np.empty(chunk, dtype=np.uint32)
+            acc = apply(bonds[:chunk])
             state.events += chunk
             state.accepted += int(acc)
             remaining -= chunk

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from latgas import build_model
 from latgas.cli import main
+from latgas.sim import load_state
 
 
 def test_validate_ok(capsys):
@@ -83,6 +85,17 @@ def test_simulate_outputs(tmp_path):
     assert (out / "state_rep1.bin").exists()
     head = (out / "snapshots_rep0.csv").read_text().splitlines()[0]
     assert head == "t,x,rho_hat,u_hat"
+    manifest = json.loads((out / "manifest.json").read_text())
+    reps = manifest["metrics"]["replicas"]
+    assert [r["replica"] for r in reps] == [0, 1]
+    for rep in reps:
+        state = load_state(out / f"state_rep{rep['replica']}.bin",
+                           build_model("pm1"))
+        assert (rep["events"], rep["accepted"], rep["trajectory_hash"]) == \
+            (state.events, state.accepted, state.trajectory_hash)
+        assert rep["events"] > rep["accepted"] > 0
+        assert 0 < rep["simulate_s"] < 60
+    assert reps[0]["trajectory_hash"] != reps[1]["trajectory_hash"]
 
 
 def test_enumerate_exit(capsys):

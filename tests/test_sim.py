@@ -406,6 +406,38 @@ def c_kernel():
         pytest.skip("no C compiler to build the event kernel")
 
 
+@pytest.mark.parametrize("n", [1, 2, 1000, 2 ** 31 + 1, 3 * 2 ** 30,
+                               2 ** 32 - 1])
+def test_bond_fill_matches_numpy(c_kernel, n):
+    """The compiled bond fill is numpy's ``integers(0, n)`` for int64, bit
+    for bit, and leaves the generator where numpy leaves it.  An odd count
+    leaves half a Philox word buffered; at n = 2^31 + 1 and n = 3 * 2^30
+    Lemire's rule rejects about a half and a quarter of the 32-bit draws,
+    and n = 1 draws nothing."""
+    m = 1001
+    fill = sim.EVENTS.impl[0]
+    rng, ref, plain = (philox_stream(5, 3) for _ in range(3))
+    for g in (rng, ref, plain):
+        g.random(3)         # start inside a Philox output block
+    start = _stream_words(rng)
+    bonds = np.empty(m, dtype=np.uint32)
+    fill(rng, n, bonds)
+    words = _stream_words(rng)
+    assert np.array_equal(bonds, ref.integers(0, n, size=m, dtype=np.int64))
+    assert words == _stream_words(ref)
+    assert np.array_equal(rng.random(4), ref.random(4))
+    # m plain 32-bit words, one per bond: what a fill without rejection draws
+    plain.integers(0, 2 ** 32, size=m, dtype=np.uint64)
+    if n == 1:
+        assert not bonds.any() and words == start
+    elif n in (2 ** 31 + 1, 3 * 2 ** 30):     # rejects about 1/2 and 1/4
+        assert words != _stream_words(plain)
+    else:
+        assert words == _stream_words(plain) and words[4] == 1  # has_uint32
+    with pytest.raises(ValueError):
+        fill(rng, 2 ** 32, bonds)
+
+
 @pytest.mark.parametrize("name", ["pm1", "two_lane"])
 def test_backends_give_identical_trajectories(request, monkeypatch, c_kernel,
                                               name):
@@ -415,7 +447,7 @@ def test_backends_give_identical_trajectories(request, monkeypatch, c_kernel,
     u0 = lambda x: 0.1 * np.cos(2 * np.pi * x)
     stops = (0.01, 0.02, 0.03, 0.04)
     runs = []
-    for kernel in (sim.EVENTS.impl, sim._apply_events_py):
+    for kernel in (sim.EVENTS.impl, sim.EVENTS.python):
         monkeypatch.setattr(sim.EVENTS, "impl", kernel)
         st = sample_local_equilibrium(model, rho0, u0, 256, plan, seed=31)
         seen = []
@@ -430,10 +462,56 @@ def test_backends_give_identical_trajectories(request, monkeypatch, c_kernel,
     assert len(seen_c) == len(stops) and seen_c == seen_p
 
 
+@pytest.mark.parametrize("name", ["pm1", "two_lane"])
+def test_backends_agree_across_chunks(request, monkeypatch, c_kernel, name):
+    """With a small odd chunk every stop spans several chunks, and each
+    chunk draws all its bonds before its uniforms; the compiled pass and
+    the twin still leave the same spins, counts and generator state."""
+    model = request.getfixturevalue(name)
+    monkeypatch.setattr(sim, "_EVENT_CHUNK", 9_999)
+    plan = ScalingPlan(delta=0.25)
+    stops = (0.02, 0.04, 0.06)
+    runs = []
+    for kernel in (sim.EVENTS.impl, sim.EVENTS.python):
+        monkeypatch.setattr(sim.EVENTS, "impl", kernel)
+        st = sample_local_equilibrium(model, lambda x: 0.5 + 0 * x,
+                                      lambda x: 0.05 + 0 * x, 400, plan,
+                                      seed=17)
+        seen = []
+        simulate(st, model, plan, stops[-1], observe_at=stops,
+                 observer=lambda s: seen.append(
+                     (s.spins.copy(), s.events, s.accepted,
+                      _stream_words(s.rng))))
+        runs.append(seen)
+    assert len(runs[0]) == len(stops)
+    assert runs[0][-1][1] > 3 * 9_999       # several chunks, odd remainders
+    for (spins_c, *rest_c), (spins_p, *rest_p) in zip(*runs):
+        assert np.array_equal(spins_c, spins_p) and rest_c == rest_p
+
+
+def test_channel_index_is_first_threshold_above(pm1, two_lane):
+    """The count of thresholds at or below u is the first channel whose
+    threshold exceeds u; past the last one the identity column keeps the
+    pair."""
+    for model in (pm1, two_lane):
+        tab = sim._ChannelTable(model, 1.0, 3.0)
+        k, nchan = tab.k, tab.nchan
+        pair = np.arange(k * k)
+        assert tab.out_a.shape == tab.out_b.shape == (k * k, nchan + 1)
+        assert np.array_equal(tab.out_a[:, nchan], pair // k)
+        assert np.array_equal(tab.out_b[:, nchan], pair % k)
+        u = np.random.default_rng(0).random(500)
+        u[:k * k] = tab.cum[:, -1]        # exactly on a row's last threshold
+        for c in pair:
+            q = (tab.cum[c][None, :] <= u[:, None]).sum(axis=1)
+            assert np.array_equal(
+                q, np.searchsorted(tab.cum[c], u, side="right"))
+
+
 @pytest.mark.parametrize("backend", ["c", "python"])
 def test_bad_event_arguments_raise(monkeypatch, pm1, backend):
     if backend == "python":
-        monkeypatch.setattr(sim.EVENTS, "impl", sim._apply_events_py)
+        monkeypatch.setattr(sim.EVENTS, "impl", sim.EVENTS.python)
     elif sim.EVENTS.backend != "c":
         pytest.skip("no C compiler to build the event kernel")
     st = LatticeState(spins=np.array([0, 1, 7, 2], dtype=np.uint8), time=0.0,
@@ -441,20 +519,33 @@ def test_bad_event_arguments_raise(monkeypatch, pm1, backend):
     with pytest.raises(ValueError, match="outside"):
         simulate(st, pm1, ScalingPlan(), 1.0, check_conservation=False)
     tab = sim._ChannelTable(pm1, 1.0, 1.0)
-    good = dict(spins=np.zeros(8, dtype=np.uint8),
-                bonds=np.array([0, 7, 3]), us=np.full(3, 0.1))
+    good = dict(spins=np.zeros(8, dtype=np.uint8), cum=tab.cum,
+                out_a=tab.out_a, out_b=tab.out_b)
+    bad_state = tab.out_b.copy()
+    bad_state[2, 0] = tab.k
     for key, bad in [("spins", np.zeros(8, dtype=np.int64)),
                      ("spins", np.zeros(16, dtype=np.uint8)[::2]),
-                     ("bonds", np.array([0, 8, 3])),
-                     ("bonds", np.array([-1, 0, 3])),
-                     ("us", np.full(2, 0.1))]:
+                     ("cum", tab.cum[:, :-1].copy()),
+                     ("out_a", tab.out_a[:, :-1].copy()),
+                     ("out_b", bad_state)]:
         args = good | {key: bad}
         with pytest.raises(ValueError):
-            sim._apply_events(args["spins"], args["bonds"], args["us"],
-                              tab.cum, tab.out_a, tab.out_b, tab.nchan, tab.k)
-    assert sim._apply_events(good["spins"], good["bonds"], good["us"],
-                             tab.cum, tab.out_a, tab.out_b, tab.nchan,
-                             tab.k) == 0
+            sim._bind_events(philox_stream(1), args["spins"], args["cum"],
+                             args["out_a"], args["out_b"], tab.nchan, tab.k)
+    apply = sim._bind_events(philox_stream(1), good["spins"], tab.cum,
+                             tab.out_a, tab.out_b, tab.nchan, tab.k)
+    assert 0 <= apply(np.empty(3, dtype=np.uint32)) <= 3
+    assert good["spins"].max() < tab.k
+
+
+def test_lattice_beyond_bond_range_is_one_line_error(pm1):
+    """Bonds are drawn by numpy's 32-bit rule, so n stops at 2^32 - 1; the
+    lattice here is a read-only view that takes no memory."""
+    st = LatticeState(spins=np.broadcast_to(np.uint8(0), (2 ** 32,)),
+                      time=0.0, seed=1, rng=philox_stream(1))
+    with pytest.raises(ValueError, match="n <= 4294967295") as exc:
+        simulate(st, pm1, ScalingPlan(), 1e-12, check_conservation=False)
+    assert "\n" not in str(exc.value)
 
 
 @pytest.mark.parametrize("backend", ["c", "python"])
@@ -462,7 +553,7 @@ def test_observer_cannot_corrupt_lattice(monkeypatch, pm1, backend):
     """The lattice is checked once per run and again after every observer
     call, so a state written by an observer is caught before the kernel."""
     if backend == "python":
-        monkeypatch.setattr(sim.EVENTS, "impl", sim._apply_events_py)
+        monkeypatch.setattr(sim.EVENTS, "impl", sim.EVENTS.python)
     elif sim.EVENTS.backend != "c":
         pytest.skip("no C compiler to build the event kernel")
     plan = ScalingPlan()
